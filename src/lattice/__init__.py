@@ -33,7 +33,6 @@ from .graph import (
     SparseGraph,
     aggregate_modalities,
     build_initial_graph,
-    build_learned_graph,
     cosine_similarity_row,
     fuse_skip,
     normalize_sym,
@@ -51,7 +50,6 @@ from .model import (
     load_checkpoint,
     propagate_item_graph,
     save_checkpoint,
-    score,
 )
 from .synthetic import clustered_dataset, write_clustered_dataset
 from .training import (

@@ -237,9 +237,12 @@ def split_cold(ds: InteractionDataset, item_fraction: float, seed: int) -> Split
 
 
 def sample_negative(user: int, positives, num_items: int, rng) -> int:
-    """Draw one item the user has not interacted with, uniformly, by rejection."""
+    """Draw one item the user has not interacted with, uniformly, by rejection.
+
+    Raises DataFormatError when the user has interacted with every item.
+    """
     if len(positives) >= num_items:
-        raise ValueError(f"user {user} has no negative items to sample")
+        raise DataFormatError(f"user {user} has no negative items to sample")
     while True:
         j = int(rng.integers(num_items))
         if j not in positives:

@@ -12,7 +12,7 @@ chunks and reduced to top-k immediately, so memory stays O(num_nodes * k).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -29,23 +29,25 @@ DEFAULT_CHUNK_ROWS = 256
 
 @dataclass(frozen=True)
 class SparseGraph:
-    """Directed weighted graph in CSR form with non-negative float64 weights.
+    """Directed weighted graph held as one scipy CSR with non-negative weights.
 
     Column indices are sorted within each row and hold no duplicates.
+    indptr, indices and values are the arrays of csr itself; the index dtype
+    is the one scipy picks for the graph's size.  The constructor and
+    from_scipy validate their input; graphs built inside this module hold
+    the invariants by construction and skip the check.
     """
 
     num_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
+    csr: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
         indices = np.ascontiguousarray(self.indices, dtype=np.int64)
         values = np.ascontiguousarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "values", values)
         if indptr.shape != (self.num_nodes + 1,):
             raise ValueError("indptr length must be num_nodes + 1")
         if indptr[0] != 0 or indptr[-1] != indices.size:
@@ -69,14 +71,25 @@ class SparseGraph:
                 raise ValueError("graph weights must be finite")
             if values.min() < 0.0:
                 raise ValueError("graph weights must be non-negative")
+        self._hold(indptr, indices, values)
+
+    def _hold(self, indptr, indices, values) -> None:
+        """Build the one CSR; indptr, indices and values become its arrays."""
+        csr = sp.csr_matrix(
+            (values, indices, indptr), shape=(self.num_nodes, self.num_nodes)
+        )
+        object.__setattr__(self, "csr", csr)
+        object.__setattr__(self, "indptr", csr.indptr)
+        object.__setattr__(self, "indices", csr.indices)
+        object.__setattr__(self, "values", csr.data)
 
     @classmethod
     def empty(cls, num_nodes: int) -> "SparseGraph":
-        return cls(
-            num_nodes=num_nodes,
-            indptr=np.zeros(num_nodes + 1, dtype=np.int64),
-            indices=np.empty(0, dtype=np.int64),
-            values=np.empty(0, dtype=np.float64),
+        return _trusted(
+            num_nodes,
+            np.zeros(num_nodes + 1, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.float64),
         )
 
     @classmethod
@@ -87,21 +100,10 @@ class SparseGraph:
                 raise ValueError("graph matrix must be square")
             num_nodes = csr.shape[0]
         csr.sort_indices()
-        return cls(
-            num_nodes=num_nodes,
-            indptr=csr.indptr.astype(np.int64),
-            indices=csr.indices.astype(np.int64),
-            values=csr.data.astype(np.float64),
-        )
-
-    def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.values, self.indices, self.indptr),
-            shape=(self.num_nodes, self.num_nodes),
-        )
+        return cls(num_nodes, csr.indptr, csr.indices, csr.data)
 
     def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
+        return self.csr.toarray()
 
     @property
     def nnz(self) -> int:
@@ -119,17 +121,13 @@ class SparseGraph:
         """Row index of every stored entry, aligned with indices/values."""
         return np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.row_counts())
 
-    def with_values(self, values: np.ndarray) -> "SparseGraph":
-        """Same sparsity pattern, new weights."""
-        return SparseGraph(self.num_nodes, self.indptr, self.indices, values)
-
     def matmul(self, dense: np.ndarray) -> np.ndarray:
         """Multiply this graph (as a matrix) against dense rows."""
         if dense.shape[0] != self.num_nodes:
             raise ValueError(
                 f"matrix has {dense.shape[0]} rows, graph has {self.num_nodes} nodes"
             )
-        return self.to_scipy() @ dense
+        return self.csr @ dense
 
     def rmatmul(self, dense: np.ndarray) -> np.ndarray:
         """Multiply the transpose of this graph against dense rows."""
@@ -137,14 +135,31 @@ class SparseGraph:
             raise ValueError(
                 f"matrix has {dense.shape[0]} rows, graph has {self.num_nodes} nodes"
             )
-        return self.to_scipy().T @ dense
+        return self.csr.T @ dense
 
-    def lookup(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Stored weight at each (row, col) pair, 0.0 where absent."""
-        if rows.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        got = self.to_scipy()[rows, cols]
-        return np.asarray(got).ravel().astype(np.float64)
+
+def _trusted(num_nodes: int, indptr, indices, values) -> SparseGraph:
+    """A graph whose invariants hold by construction, built without validation."""
+    graph = object.__new__(SparseGraph)
+    object.__setattr__(graph, "num_nodes", num_nodes)
+    graph._hold(indptr, indices, values)
+    return graph
+
+
+def values_at(graph: SparseGraph, values: np.ndarray, target: SparseGraph) -> np.ndarray:
+    """values, aligned with graph's entries, read at target's (row, col) entries.
+
+    Entries of target that graph does not store read 0.0.
+    """
+    n = graph.num_nodes
+    keys = graph.edge_rows() * n + graph.indices
+    wanted = target.edge_rows() * n + target.indices
+    pos = np.searchsorted(keys, wanted)
+    hit = pos < keys.size
+    hit[hit] = keys[pos[hit]] == wanted[hit]
+    out = np.zeros(wanted.size, dtype=np.float64)
+    out[hit] = values[pos[hit]]
+    return out
 
 
 def unit_rows(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +240,7 @@ def topk_sparsify(
     values = (
         np.concatenate(vals_per_row) if vals_per_row else np.empty(0, dtype=np.float64)
     )
-    return SparseGraph(num_nodes, indptr, indices, values)
+    return _trusted(num_nodes, indptr, indices, values)
 
 
 def _topk_row(row: np.ndarray, k: int) -> np.ndarray:
@@ -254,8 +269,7 @@ def normalize_sym(graph: SparseGraph) -> SparseGraph:
     inv_sqrt = np.where(degrees >= NORM_EPS, 1.0 / np.sqrt(np.maximum(degrees, NORM_EPS)), 0.0)
     rows = graph.edge_rows()
     values = graph.values * inv_sqrt[rows] * inv_sqrt[graph.indices]
-    normalized = graph.with_values(values)
-    return prune_zeros(normalized)
+    return prune_zeros(_trusted(graph.num_nodes, graph.indptr, graph.indices, values))
 
 
 def prune_zeros(graph: SparseGraph) -> SparseGraph:
@@ -265,27 +279,23 @@ def prune_zeros(graph: SparseGraph) -> SparseGraph:
     keep = graph.values > 0.0
     counts = np.zeros(graph.num_nodes, dtype=np.int64)
     np.add.at(counts, graph.edge_rows()[keep], 1)
-    return SparseGraph(
-        num_nodes=graph.num_nodes,
-        indptr=np.concatenate([[0], np.cumsum(counts)]),
-        indices=graph.indices[keep],
-        values=graph.values[keep],
+    return _trusted(
+        graph.num_nodes,
+        np.concatenate([[0], np.cumsum(counts)]),
+        graph.indices[keep],
+        graph.values[keep],
     )
 
 
-def knn_cosine_graph(
-    features: np.ndarray, k: int, chunk_rows: int = DEFAULT_CHUNK_ROWS
-) -> SparseGraph:
+def knn_cosine_graph(features: np.ndarray, k: int) -> SparseGraph:
     """Top-k clamped-cosine graph of the feature rows, unnormalized."""
     n = np.asarray(features).shape[0]
-    return topk_sparsify(iter_cosine_rows(features, chunk_rows), k, n)
+    return topk_sparsify(iter_cosine_rows(features), k, n)
 
 
-def build_initial_graph(
-    features: np.ndarray, k: int, chunk_rows: int = DEFAULT_CHUNK_ROWS
-) -> SparseGraph:
-    """Normalized top-k cosine graph over raw feature rows."""
-    return normalize_sym(knn_cosine_graph(features, k, chunk_rows))
+def build_initial_graph(features: np.ndarray, k: int) -> SparseGraph:
+    """Normalized top-k cosine graph over feature rows (raw or transformed)."""
+    return normalize_sym(knn_cosine_graph(features, k))
 
 
 def transform_features(
@@ -304,21 +314,14 @@ def transform_features(
     return feats @ weight.T + bias
 
 
-def build_learned_graph(
-    transformed: np.ndarray, k: int, chunk_rows: int = DEFAULT_CHUNK_ROWS
-) -> SparseGraph:
-    """Normalized top-k cosine graph over transformed feature rows."""
-    return build_initial_graph(transformed, k, chunk_rows)
-
-
 def fuse_skip(initial: SparseGraph, learned: SparseGraph, lam: float) -> SparseGraph:
     """Blend frozen and learned graphs: lam * initial + (1 - lam) * learned."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
     if initial.num_nodes != learned.num_nodes:
         raise ValueError("graphs must share the node count")
-    fused = lam * initial.to_scipy() + (1.0 - lam) * learned.to_scipy()
-    return SparseGraph.from_scipy(fused, initial.num_nodes)
+    fused = lam * initial.csr + (1.0 - lam) * learned.csr
+    return _trusted(initial.num_nodes, fused.indptr, fused.indices, fused.data)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -344,10 +347,10 @@ def aggregate_modalities(
     if any(g.num_nodes != nodes for g in graphs):
         raise ValueError("graphs must share the node count")
     weights = softmax(logits)
-    combined = weights[0] * graphs[0].to_scipy()
+    combined = weights[0] * graphs[0].csr
     for w, g in zip(weights[1:], graphs[1:]):
-        combined = combined + w * g.to_scipy()
-    return SparseGraph.from_scipy(combined, nodes), weights
+        combined = combined + w * g.csr
+    return _trusted(nodes, combined.indptr, combined.indices, combined.data), weights
 
 
 def write_graph_dump(

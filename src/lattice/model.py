@@ -25,7 +25,6 @@ import numpy as np
 from .data import InteractionDataset, ModalityFeatures, build_bipartite_graph
 from .errors import CheckpointError
 from .graph import (
-    NORM_EPS,
     SparseGraph,
     aggregate_modalities,
     build_initial_graph,
@@ -199,14 +198,12 @@ class ForwardCache:
     unit_modal: dict = field(default_factory=dict)
     norms_modal: dict = field(default_factory=dict)
     retained: dict = field(default_factory=dict)
-    learned: dict = field(default_factory=dict)
     fused: dict = field(default_factory=dict)
     alpha: np.ndarray | None = None
     graph: SparseGraph | None = None
     # propagation and enhancement
     feat_concat: np.ndarray | None = None
     h_layers: list | None = None
-    enhance_src: np.ndarray | None = None
     enhance_norms: np.ndarray | None = None
     enhance_add: np.ndarray | None = None
     # backend
@@ -260,15 +257,13 @@ def build_item_graph(
         else:
             unit, norms = unit_rows(h_modal[m])
             retained = knn_cosine_graph(h_modal[m], cfg.k)
-        learned = normalize_sym(retained)
         initial = inputs.initial_graphs.get(m, SparseGraph.empty(inputs.num_items))
-        fused = fuse_skip(initial, learned, cfg.fuse_lambda)
+        fused = fuse_skip(initial, normalize_sym(retained), cfg.fuse_lambda)
         fused_list.append(fused)
         if cache is not None:
             cache.unit_modal[m] = unit
             cache.norms_modal[m] = norms
             cache.retained[m] = retained
-            cache.learned[m] = learned
             cache.fused[m] = fused
     graph, alpha = aggregate_modalities(fused_list, params.logits)
     if cache is not None:
@@ -294,21 +289,9 @@ def propagate_item_graph(
     return hs
 
 
-def normalize_rows_guarded(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalize; rows with norm below NORM_EPS map to zero rows.
-
-    Returns (normalized rows, row norms).
-    """
-    norms = np.linalg.norm(v, axis=1)
-    safe = np.where(norms >= NORM_EPS, norms, 1.0)
-    out = v / safe[:, None]
-    out[norms < NORM_EPS] = 0.0
-    return out, norms
-
-
 def enhance_items(item_vecs: np.ndarray, propagated: np.ndarray) -> np.ndarray:
     """Add the L2-normalized propagated vectors to the backend item vectors."""
-    add, _ = normalize_rows_guarded(propagated)
+    add, _ = unit_rows(propagated)
     return item_vecs + add
 
 
@@ -388,8 +371,7 @@ def forward_pass(
     else:  # feats_side_info: project concatenated features, skip the graph
         src = cache.feat_concat @ params.projection.T
 
-    add, norms = normalize_rows_guarded(src)
-    cache.enhance_src = src
+    add, norms = unit_rows(src)
     cache.enhance_norms = norms
     cache.enhance_add = add
     enhanced = item_vecs + add
@@ -405,13 +387,6 @@ def forward(
 ) -> ForwardOutput:
     out, _ = forward_pass(cfg, params, inputs, graphs, keep_cache=False)
     return out
-
-
-def score(user_vec: np.ndarray, item_vec: np.ndarray) -> float:
-    """Inner-product preference score for one user-item pair."""
-    if user_vec.shape != item_vec.shape:
-        raise ValueError("user and item vectors must share a dimension")
-    return float(np.dot(user_vec, item_vec))
 
 
 def score_matrix(user_vecs: np.ndarray, enhanced_items: np.ndarray) -> np.ndarray:

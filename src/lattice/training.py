@@ -22,7 +22,7 @@ from scipy.special import expit
 from .data import ModalityFeatures, sample_negative
 from .errors import GradientError
 from .evaluation import evaluate
-from .graph import NORM_EPS, SparseGraph, softmax
+from .graph import NORM_EPS, SparseGraph, softmax, values_at
 from .model import (
     ForwardCache,
     ForwardOutput,
@@ -196,29 +196,16 @@ def batch_loss(
 # backward pass
 
 
-def _pattern_csr(graph: SparseGraph, values: np.ndarray) -> sp.csr_matrix:
-    """A scipy matrix carrying arbitrary values on the graph's pattern."""
-    return sp.csr_matrix(
-        (values, graph.indices, graph.indptr),
-        shape=(graph.num_nodes, graph.num_nodes),
-    )
-
-
-def _csr_lookup(matrix: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """matrix[r, c] for aligned index arrays, 0.0 where no entry is stored."""
-    if rows.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    return np.asarray(matrix[rows, cols]).ravel().astype(np.float64)
-
-
-def _normalized_rows_backward(
-    grad_out: np.ndarray, src: np.ndarray, norms: np.ndarray
+def _unit_rows_backward(
+    grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray
 ) -> np.ndarray:
-    """Backward of v -> v / ||v|| with the zero-norm guard (guarded rows get 0)."""
+    """Backward of graph.unit_rows: v -> v / ||v||, guarded rows get 0.
+
+    unit and norms are the forward outputs of unit_rows.
+    """
+    dots = np.einsum("nd,nd->n", grad_unit, unit)
     safe = np.where(norms >= NORM_EPS, norms, 1.0)
-    unit = src / safe[:, None]
-    dots = np.einsum("nd,nd->n", grad_out, unit)
-    grad = (grad_out - dots[:, None] * unit) / safe[:, None]
+    grad = (grad_unit - dots[:, None] * unit) / safe[:, None]
     grad[norms < NORM_EPS] = 0.0
     return grad
 
@@ -260,13 +247,10 @@ def _cosine_topk_backward(
     The support is a constant; each retained value is u_i . u_j with u the
     unit rows.  Diagonal entries fall out of the symmetric accumulation.
     """
-    m = _pattern_csr(retained, grad_vals)
-    grad_unit = m @ unit + m.T @ unit
-    dots = np.einsum("nd,nd->n", grad_unit, unit)
-    safe = np.where(norms >= NORM_EPS, norms, 1.0)
-    grad = (grad_unit - dots[:, None] * unit) / safe[:, None]
-    grad[norms < NORM_EPS] = 0.0
-    return grad
+    m = sp.csr_matrix(
+        (grad_vals, retained.indices, retained.indptr), shape=retained.csr.shape
+    )
+    return _unit_rows_backward(m @ unit + m.T @ unit, unit, norms)
 
 
 def compute_gradients(
@@ -318,8 +302,8 @@ def compute_gradients(
         grad_src = None
     else:
         grad_item_out = grad_enhanced.copy()
-        grad_src = _normalized_rows_backward(
-            grad_enhanced, cache.enhance_src, cache.enhance_norms
+        grad_src = _unit_rows_backward(
+            grad_enhanced, cache.enhance_add, cache.enhance_norms
         )
 
     grad_h0 = None
@@ -362,18 +346,15 @@ def compute_gradients(
         grad_alpha = np.zeros(alpha.size)
         modalities = sorted(inputs.features)
         if grad_graph_vals is not None:
-            grad_a_csr = _pattern_csr(cache.graph, grad_graph_vals)
             for idx, m in enumerate(modalities):
                 fused = cache.fused[m]
-                rows_m = fused.edge_rows()
-                g_on_fused = _csr_lookup(grad_a_csr, rows_m, fused.indices)
+                g_on_fused = values_at(cache.graph, grad_graph_vals, fused)
                 grad_alpha[idx] = float(np.dot(g_on_fused, fused.values))
                 retained = cache.retained[m]
                 if retained.nnz == 0 or cfg.fuse_lambda == 1.0:
                     continue
-                g_fused_csr = _pattern_csr(fused, alpha[idx] * g_on_fused)
-                g_learned = (1.0 - cfg.fuse_lambda) * _csr_lookup(
-                    g_fused_csr, retained.edge_rows(), retained.indices
+                g_learned = (1.0 - cfg.fuse_lambda) * values_at(
+                    fused, alpha[idx] * g_on_fused, retained
                 )
                 g_retained = _normalize_sym_backward(g_learned, retained)
                 grad_h = _cosine_topk_backward(

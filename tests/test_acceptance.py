@@ -25,7 +25,7 @@ from conftest import (
 from lattice.cli import main
 from lattice.data import sample_negative, split_cold, split_warm
 from lattice.evaluation import evaluate, ndcg_at_k, precision_at_k, rank_items, recall_at_k
-from lattice.graph import build_initial_graph, build_learned_graph, transform_features
+from lattice.graph import build_initial_graph, transform_features
 from lattice.model import (
     BACKENDS,
     VARIANTS,
@@ -254,7 +254,7 @@ def test_criterion_3_graph_pipeline_oracle(report):
             )
             for g in (
                 inputs.initial_graphs[m],
-                build_learned_graph(transformed, k),
+                build_initial_graph(transformed, k),
             ):
                 if g.row_counts().max(initial=0) > k:
                     budgets_ok = False

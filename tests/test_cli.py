@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from lattice.cli import main
 from lattice.config import load_run_config, parse_config_text
+from lattice.data import write_features
 from lattice.errors import ConfigError
 from lattice.synthetic import write_clustered_dataset
 
@@ -261,6 +263,19 @@ class TestTrain:
         code = main(["train", "--config", str(cfg_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_user_without_negatives_reports_error(self, tmp_path, capsys):
+        # u0 holds all 4 items; the warm split holds out floor(0.1 * 4) = 0
+        (tmp_path / "interactions.tsv").write_text(
+            "u0\ta\nu0\tb\nu0\tc\nu0\td\nu1\ta\n", encoding="utf-8"
+        )
+        write_features(tmp_path / "features_content.latf", np.eye(4, 2) + 1.0)
+        cfg_path = tmp_path / "r.cfg"
+        cfg_path.write_text(BASE_CONFIG, encoding="utf-8")
+        code = main(["train", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: user 0 has no negative items to sample\n"
 
 
 class TestEvaluate:

@@ -212,7 +212,7 @@ class TestSampleNegative:
             assert sample_negative(0, {0, 1}, 3, rng) == 2
 
     def test_all_items_positive_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataFormatError, match="user 0 "):
             sample_negative(0, {0, 1, 2}, 3, np.random.default_rng(0))
 
     def test_never_returns_positive(self):

@@ -3,21 +3,25 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lattice.data import ModalityFeatures, make_dataset
 from lattice.graph import (
     SparseGraph,
     aggregate_modalities,
     build_initial_graph,
-    build_learned_graph,
     cosine_similarity_row,
     fuse_skip,
     iter_cosine_rows,
+    knn_cosine_graph,
     normalize_sym,
     read_graph_dump,
     softmax,
     topk_sparsify,
     transform_features,
+    values_at,
     write_graph_dump,
 )
 from lattice.model import ModelConfig, build_inputs, build_item_graph
@@ -79,6 +83,80 @@ def dense_mixed_graph(features_by_mod, params, k, lam):
         learned = dense_modality_graph(transformed, k)
         combined += alpha[idx] * (lam * initial + (1.0 - lam) * learned)
     return combined, alpha
+
+
+# ---------------------------------------------------------------------------
+# the validated boundary: public constructor and from_scipy
+
+# (num_nodes, indptr, indices, values), each breaking one invariant
+MALFORMED = {
+    "indptr too short": (3, [0, 1, 2], [0, 1], [1.0, 1.0]),
+    "indptr not starting at 0": (2, [1, 1, 2], [0, 1], [1.0, 1.0]),
+    "indptr end past indices": (2, [0, 1, 3], [0, 1], [1.0, 1.0]),
+    "unsorted row": (3, [0, 2, 2, 2], [2, 0], [1.0, 1.0]),
+    "duplicate column": (3, [0, 2, 2, 2], [1, 1], [1.0, 1.0]),
+    "column out of range": (2, [0, 1, 1], [2], [1.0]),
+    "negative column": (2, [0, 1, 1], [-1], [1.0]),
+    "negative weight": (2, [0, 1, 1], [1], [-0.5]),
+    "nan weight": (2, [0, 1, 1], [1], [np.nan]),
+    "inf weight": (2, [0, 1, 1], [1], [np.inf]),
+}
+
+
+class TestBoundaryValidation:
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_constructor_rejects(self, case):
+        n, indptr, indices, values = MALFORMED[case]
+        with pytest.raises(ValueError):
+            SparseGraph(n, np.array(indptr), np.array(indices), np.array(values))
+
+    @pytest.mark.parametrize("case", [c for c in MALFORMED if c != "unsorted row"])
+    def test_from_scipy_rejects(self, case):
+        n, indptr, indices, values = MALFORMED[case]
+        # scipy's own constructor rejects the malformed indptr cases first
+        with pytest.raises(ValueError):
+            SparseGraph.from_scipy(sp.csr_matrix((values, indices, indptr), shape=(n, n)))
+
+    def test_from_scipy_sorts_rows_and_checks_node_count(self):
+        n, indptr, indices, values = MALFORMED["unsorted row"]
+        g = SparseGraph.from_scipy(sp.csr_matrix((values, indices, indptr), shape=(n, n)))
+        assert g.indices.tolist() == [0, 2]
+        with pytest.raises(ValueError):
+            SparseGraph.from_scipy(sp.identity(2, format="csr"), num_nodes=3)
+
+
+# ---------------------------------------------------------------------------
+# values at another graph's entries, against the scipy fancy indexing oracle
+
+
+def random_graph(n, density, seed):
+    matrix = sp.random(n, n, density=density, random_state=seed, format="csr")
+    return SparseGraph.from_scipy(matrix)
+
+
+@pytest.mark.parametrize(
+    "source_density,target_density",
+    [(0.2, 0.2), (0.0, 0.3), (0.3, 0.0), (0.0, 0.0), (0.25, None), (0.2, "subset")],
+    ids=["partial-overlap", "empty-source", "empty-target", "both-empty",
+         "identical-pattern", "target-inside-source"],
+)
+def test_values_at_matches_scipy_fancy_indexing(source_density, target_density):
+    n = 40
+    source = random_graph(n, source_density, seed=1)
+    if target_density is None:
+        target = source
+    elif target_density == "subset":
+        target = source
+        source = SparseGraph.from_scipy(source.csr + random_graph(n, 0.2, seed=2).csr)
+    else:
+        target = random_graph(n, target_density, seed=2)
+    values = np.random.default_rng(3).standard_normal(source.nnz)
+    got = values_at(source, values, target)
+    rows, cols = target.edge_rows(), target.indices
+    oracle = sp.csr_matrix((values, source.indices, source.indptr), shape=(n, n))
+    want = np.zeros(0) if rows.size == 0 else np.asarray(oracle[rows, cols]).ravel()
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.astype(np.float64).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +339,11 @@ class TestLearnedGraph:
         feats = rng.standard_normal((9, 4))
         transformed = transform_features(feats, np.eye(4), np.zeros(4))
         a = build_initial_graph(feats, 3).to_dense()
-        b = build_learned_graph(transformed, 3).to_dense()
+        b = build_initial_graph(transformed, 3).to_dense()
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_k_zero_empty(self, rng):
-        assert build_learned_graph(rng.standard_normal((5, 3)), 0).nnz == 0
+        assert build_initial_graph(rng.standard_normal((5, 3)), 0).nnz == 0
 
 
 class TestFuseAndMix:
@@ -362,3 +440,51 @@ class TestGraphDump:
         import json
 
         assert json.loads(open(js).read())["k"] == 3
+
+
+# ---------------------------------------------------------------------------
+# invariants of every pipeline stage, fuzzed
+
+
+def assert_canonical(g):
+    """Strictly increasing in-range columns per row, finite non-negative weights."""
+    assert g.indptr.shape == (g.num_nodes + 1,)
+    assert g.indptr[0] == 0 and g.indptr[-1] == g.indices.size == g.values.size
+    for row in range(g.num_nodes):
+        cols = g.indices[g.indptr[row] : g.indptr[row + 1]]
+        assert np.all(np.diff(cols) > 0)
+        assert np.all((cols >= 0) & (cols < g.num_nodes))
+    assert np.all(np.isfinite(g.values)) and np.all(g.values >= 0.0)
+
+
+@st.composite
+def pipeline_inputs(draw):
+    n = draw(st.integers(1, 10))
+    d = draw(st.integers(1, 4))
+    feats = arrays(np.float64, (n, d), elements=st.floats(-10.0, 10.0))
+    return (
+        draw(feats),
+        draw(feats),
+        draw(st.integers(0, n + 1)),
+        draw(st.floats(0.0, 1.0)),
+        draw(arrays(np.float64, 2, elements=st.floats(-5.0, 5.0))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(pipeline_inputs())
+def test_pipeline_stages_keep_graph_invariants(inputs):
+    raw, transformed, k, lam, logits = inputs
+    initial = build_initial_graph(raw, k)
+    knn = knn_cosine_graph(transformed, k)
+    learned = normalize_sym(knn)
+    fused = fuse_skip(initial, learned, lam)
+    mixed, _ = aggregate_modalities([fused, initial], logits)
+    for g in (knn, learned):
+        assert g.row_counts().max(initial=0) <= k
+    for g in (knn, learned, fused, mixed):
+        assert_canonical(g)
+    kept = fuse_skip(initial, learned, 1.0)
+    assert np.array_equal(kept.indptr, initial.indptr)
+    assert np.array_equal(kept.indices, initial.indices)
+    assert kept.values.tobytes() == initial.values.tobytes()

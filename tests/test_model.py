@@ -18,7 +18,6 @@ from lattice.model import (
     load_checkpoint,
     propagate_item_graph,
     save_checkpoint,
-    score,
     score_matrix,
 )
 from lattice.training import init_parameters
@@ -160,10 +159,10 @@ class TestEnhancement:
 
 class TestScoring:
     def test_orthogonal_scores_zero(self):
-        assert score(np.array([1.0, 0.0]), np.array([0.0, 5.0])) == 0.0
+        assert score_matrix(np.array([[1.0, 0.0]]), np.array([[0.0, 5.0]])) == 0.0
 
     def test_known_inner_product(self):
-        assert score(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
+        assert score_matrix(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])) == 11.0
 
     def test_matrix_matches_pairwise_loop(self, rng):
         users = rng.standard_normal((4, 6))
@@ -171,11 +170,11 @@ class TestScoring:
         mat = score_matrix(users, items)
         for u in range(4):
             for i in range(9):
-                assert mat[u, i] == pytest.approx(score(users[u], items[i]), abs=1e-12)
+                assert mat[u, i] == pytest.approx(np.dot(users[u], items[i]), abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            score(np.ones(3), np.ones(4))
+            score_matrix(np.ones((1, 3)), np.ones((1, 4)))
 
 
 class TestForwardVariants:
