@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 from .graph import SparseGraph
 
 FEATURE_MAGIC = b"LATF"
@@ -212,14 +212,18 @@ def split_cold(ds: InteractionDataset, item_fraction: float, seed: int) -> Split
     floor(item_fraction * num_items) items are sampled without replacement;
     half of them form the validation group, the rest the test group.  Every
     pair touching a group's item lands in that partition; train keeps only
-    pairs with no cold item.
+    pairs with no cold item.  Raises ConfigError when the fraction selects
+    fewer than 2 items.
     """
     if not 0.0 < item_fraction < 1.0:
         raise ValueError("item_fraction must lie strictly between 0 and 1")
     rng = np.random.default_rng(seed)
     n_cold = int(np.floor(item_fraction * ds.num_items))
     if n_cold < 2:
-        raise ValueError("item_fraction selects fewer than 2 items")
+        raise ConfigError(
+            f"item_fraction {item_fraction} selects fewer than 2 of "
+            f"{ds.num_items} items"
+        )
     cold = rng.choice(ds.num_items, size=n_cold, replace=False).astype(np.int64)
     valid_items = set(int(i) for i in cold[: n_cold // 2])
     test_items = set(int(i) for i in cold[n_cold // 2 :])

@@ -6,7 +6,11 @@ same pipeline on linearly transformed features, gets blended with the frozen
 initial graph, and the per-modality results are mixed with softmax weights.
 
 Similarity matrices are never materialized densely; rows are produced in
-chunks and reduced to top-k immediately, so memory stays O(num_nodes * k).
+chunks and reduced to top-k immediately, so memory stays O(chunk * num_nodes)
+plus the O(num_nodes * k) result.  Each chunk is reduced with whole-block
+array calls: the k-th largest maximum over strided column groups bounds each
+row's k-th largest value from below, leaving a handful of candidates per row
+for the exact cut.
 """
 
 from __future__ import annotations
@@ -210,52 +214,94 @@ def topk_sparsify(
     """Keep the k largest entries of each similarity row.
 
     Ties on the boundary value resolve toward smaller column indices.  Kept
-    entries that are exactly zero are dropped, so rows may hold fewer than k
-    edges.  k = 0 yields an empty graph.
+    entries that are exactly zero are dropped (as are negative ones), so rows
+    may hold fewer than k edges.  k = 0 yields an empty graph.
+
+    Blocks are consumed one at a time and each is selected with whole-block
+    array calls: a group-max lower bound on every row's k-th largest value
+    leaves a few candidates per row for the exact cut (see _block_topk).
+    Kept values are read from the block, never recomputed.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    cols_per_row: list[np.ndarray] = []
-    vals_per_row: list[np.ndarray] = []
-    counts = np.zeros(num_nodes, dtype=np.int64)
+    cols_per_block: list[np.ndarray] = []
+    vals_per_block: list[np.ndarray] = []
+    counts_per_block: list[np.ndarray] = []
     row_index = 0
     for block in sim_blocks:
-        for row in block:
-            if row_index >= num_nodes:
-                raise ValueError("more similarity rows than nodes")
-            cols = _topk_row(row, k)
-            vals = row[cols]
-            keep = vals > 0.0
-            cols, vals = cols[keep], vals[keep]
-            counts[row_index] = cols.size
-            cols_per_row.append(cols)
-            vals_per_row.append(vals)
-            row_index += 1
+        if row_index + block.shape[0] > num_nodes:
+            raise ValueError("more similarity rows than nodes")
+        counts, cols, vals = _block_topk(block, k)
+        counts_per_block.append(counts)
+        cols_per_block.append(cols)
+        vals_per_block.append(vals)
+        row_index += block.shape[0]
     if row_index != num_nodes:
         raise ValueError(f"expected {num_nodes} similarity rows, got {row_index}")
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    indices = (
-        np.concatenate(cols_per_row) if cols_per_row else np.empty(0, dtype=np.int64)
+    if not counts_per_block:
+        return SparseGraph.empty(num_nodes)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts_per_block))])
+    return _trusted(
+        num_nodes, indptr, np.concatenate(cols_per_block), np.concatenate(vals_per_block)
     )
-    values = (
-        np.concatenate(vals_per_row) if vals_per_row else np.empty(0, dtype=np.float64)
-    )
-    return _trusted(num_nodes, indptr, indices, values)
 
 
-def _topk_row(row: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the k largest entries, ties to smaller columns, sorted."""
-    n = row.size
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    if k >= n:
-        return np.arange(n, dtype=np.int64)
-    boundary = np.partition(row, n - k)[n - k]
-    above = np.flatnonzero(row > boundary)
-    slots = k - above.size
-    at_boundary = np.flatnonzero(row == boundary)[:slots]
-    cols = np.sort(np.concatenate([above, at_boundary]))
-    return cols.astype(np.int64)
+# Columns per group of the top-k bound.  The group maxima cost one pass over
+# the block; with fewer than k groups every positive entry is a candidate.
+_GROUP_SPAN = 16
+
+# The smallest positive float: candidates must be >= it, so zero and
+# negative similarities are never kept.
+_TINY = np.nextafter(0.0, 1.0)
+
+
+def _block_topk(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block's top-k as (kept entries per row, columns, values), row-major.
+
+    Columns split into g = n // 16 strided groups (group j holds columns j,
+    j + g, ..., j + 15g).  k distinct groups reach the k-th largest group
+    maximum, so it bounds each row's k-th largest value from below; floored
+    at the smallest positive float it becomes the candidate threshold.  Every
+    kept entry is a candidate.  Rows with more than k candidates are cut to
+    the k largest, boundary ties to the smallest columns.
+    """
+    r, n = block.shape
+    if k == 0 or r == 0 or n == 0:
+        empty_cols = np.empty(0, dtype=np.int64)
+        return np.zeros(r, dtype=np.int64), empty_cols, np.empty(0, dtype=block.dtype)
+    g = n // _GROUP_SPAN
+    if g >= k:
+        group_max = block[:, :g].copy()
+        for t in range(1, _GROUP_SPAN):
+            np.maximum(group_max, block[:, t * g : (t + 1) * g], out=group_max)
+        group_max.partition(g - k, axis=1)
+        thr = np.maximum(group_max[:, g - k], _TINY)[:, None]
+    else:
+        thr = _TINY
+    flat = np.flatnonzero(block >= thr)
+    rows, cols = np.divmod(flat, n)
+    vals = block.ravel()[flat]
+    counts = np.bincount(rows, minlength=r)
+    width = int(counts.max())
+    if width <= k:
+        return counts, cols, vals
+    # pad each row's candidates into one row of a -inf matrix to find the
+    # k-th largest; rows with at most k candidates keep them all, the others
+    # keep exactly k
+    starts = np.cumsum(counts) - counts
+    slot = np.arange(flat.size) - starts[rows]
+    padded = np.full((r, width), -np.inf)
+    padded[rows, slot] = vals
+    padded.partition(width - k, axis=1)
+    kth = padded[:, width - k][rows]
+    above = vals > kth
+    at_kth = vals == kth
+    # 1-based rank of each boundary tie within its row, in column order
+    tie_rank = np.cumsum(at_kth)
+    tie_rank -= np.concatenate([[0], tie_rank])[starts][rows]
+    slots = k - np.bincount(rows[above], minlength=r)
+    keep = above | (at_kth & (tie_rank <= slots[rows]))
+    return np.minimum(counts, k), cols[keep], vals[keep]
 
 
 def normalize_sym(graph: SparseGraph) -> SparseGraph:

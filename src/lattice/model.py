@@ -242,28 +242,34 @@ def build_item_graph(
 ) -> tuple[SparseGraph, np.ndarray]:
     """Mix the per-modality fused graphs into one propagation matrix.
 
-    With k = 0 every per-modality graph is empty and so is the mix.
-    Records build intermediates on cache when one is supplied.
+    With k = 0 every per-modality graph is empty and so is the mix.  With
+    fuse_lambda = 1 the learned graph carries zero weight, so it is not
+    built: each fused graph is the initial graph itself, as fuse_skip would
+    return it.  Records build intermediates on cache when one is supplied.
     """
     if h_modal is None:
         h_modal = _transformed_features(params, inputs, cache)
     fused_list = []
     modalities = sorted(inputs.features)
     for m in modalities:
-        if cfg.k == 0:
-            retained = SparseGraph.empty(inputs.num_items)
-            unit = np.zeros_like(h_modal[m])
-            norms = np.zeros(inputs.num_items)
-        else:
-            unit, norms = unit_rows(h_modal[m])
-            retained = knn_cosine_graph(h_modal[m], cfg.k)
         initial = inputs.initial_graphs.get(m, SparseGraph.empty(inputs.num_items))
-        fused = fuse_skip(initial, normalize_sym(retained), cfg.fuse_lambda)
+        if cfg.fuse_lambda == 1.0:
+            fused = initial
+        else:
+            if cfg.k == 0:
+                retained = SparseGraph.empty(inputs.num_items)
+                unit = np.zeros_like(h_modal[m])
+                norms = np.zeros(inputs.num_items)
+            else:
+                unit, norms = unit_rows(h_modal[m])
+                retained = knn_cosine_graph(h_modal[m], cfg.k)
+            fused = fuse_skip(initial, normalize_sym(retained), cfg.fuse_lambda)
+            if cache is not None:
+                cache.unit_modal[m] = unit
+                cache.norms_modal[m] = norms
+                cache.retained[m] = retained
         fused_list.append(fused)
         if cache is not None:
-            cache.unit_modal[m] = unit
-            cache.norms_modal[m] = norms
-            cache.retained[m] = retained
             cache.fused[m] = fused
     graph, alpha = aggregate_modalities(fused_list, params.logits)
     if cache is not None:

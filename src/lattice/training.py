@@ -350,8 +350,10 @@ def compute_gradients(
                 fused = cache.fused[m]
                 g_on_fused = values_at(cache.graph, grad_graph_vals, fused)
                 grad_alpha[idx] = float(np.dot(g_on_fused, fused.values))
+                if cfg.fuse_lambda == 1.0:
+                    continue
                 retained = cache.retained[m]
-                if retained.nnz == 0 or cfg.fuse_lambda == 1.0:
+                if retained.nnz == 0:
                     continue
                 g_learned = (1.0 - cfg.fuse_lambda) * values_at(
                     fused, alpha[idx] * g_on_fused, retained

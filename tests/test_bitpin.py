@@ -5,7 +5,8 @@ a fixed two-modality instance and compares three values against the table
 below: the sha256 of the checkpoint bytes, the sha256 of every parameter as
 float64 (checkpoints store float32, which would hide small drift), and the
 repr of the last epoch's train loss.  A refactor that keeps the arithmetic
-must keep all three.
+must keep all three.  One extra case trains with fuse_lambda = 1.0, where the
+learned graph carries zero weight.
 
 The digests depend on the numpy/BLAS build.  On a new platform, print the
 table with ``PYTHONPATH=src python tests/test_bitpin.py`` from the parent
@@ -45,6 +46,11 @@ PINNED = {
 
 CASES = [(b, v, r) for b in BACKENDS for v in VARIANTS for r in REFRESH]
 
+# (backend, variant, refresh, fuse_lambda) -> digests, as in PINNED
+PINNED_LAMBDA = {
+    ('mf', 'full', 'per_batch', 1.0): ('955e29cf366feb736b66cba6556673401223c34723823c01313e305be5960145', '14c2188366eef0850ca023197894f735e2c9d34043a6a9c2baf7dc4e18f75d36', '0.6324839413326927'),
+}
+
 
 def _instance():
     dataset, features = clustered_dataset(
@@ -61,7 +67,7 @@ def _instance():
     return split_cold(dataset, 0.2, seed=3), features
 
 
-def run_case(backend, variant, refresh, tmp_dir):
+def run_case(backend, variant, refresh, tmp_dir, fuse_lambda=0.6):
     """Train one case and return (checkpoint sha256, float64 sha256, loss repr)."""
     split, features = _instance()
     cfg = ModelConfig(
@@ -70,7 +76,7 @@ def run_case(backend, variant, refresh, tmp_dir):
         embed_dim=8,
         hidden_dim=4,
         k=3,
-        fuse_lambda=0.6,
+        fuse_lambda=fuse_lambda,
         item_layers=2,
         cf_layers=2,
     )
@@ -78,7 +84,7 @@ def run_case(backend, variant, refresh, tmp_dir):
         learning_rate=0.01, batch_size=32, max_epochs=3, seed=5, graph_refresh=refresh
     )
     result = fit(cfg, train_cfg, split, features)
-    path = tmp_dir / f"{backend}_{variant}_{refresh}.bin"
+    path = tmp_dir / f"{backend}_{variant}_{refresh}_{fuse_lambda}.bin"
     save_checkpoint(path, cfg, result.params)
     ckpt = hashlib.sha256(path.read_bytes()).hexdigest()
     exact = hashlib.sha256()
@@ -94,6 +100,14 @@ def test_training_reproduces_pinned_bits(backend, variant, refresh, tmp_path):
     assert got == PINNED[(backend, variant, refresh)]
 
 
+@pytest.mark.parametrize(
+    "case", sorted(PINNED_LAMBDA), ids=lambda c: "-".join(map(str, c))
+)
+def test_training_at_fuse_lambda_reproduces_pinned_bits(case, tmp_path):
+    got = run_case(*case[:3], tmp_path, fuse_lambda=case[3])
+    assert got == PINNED_LAMBDA[case]
+
+
 if __name__ == "__main__":
     import pathlib
     import tempfile
@@ -102,4 +116,9 @@ if __name__ == "__main__":
         print("PINNED = {")
         for case in CASES:
             print(f"    {case!r}: {run_case(*case, pathlib.Path(tmp))!r},")
+        print("}")
+        print("PINNED_LAMBDA = {")
+        for case in sorted(PINNED_LAMBDA):
+            got = run_case(*case[:3], pathlib.Path(tmp), fuse_lambda=case[3])
+            print(f"    {case!r}: {got!r},")
         print("}")

@@ -277,6 +277,22 @@ class TestTrain:
         assert code == 1
         assert err == "error: user 0 has no negative items to sample\n"
 
+    def test_cold_fraction_below_two_items_reports_error(self, tmp_path, capsys):
+        # floor(0.2 * 8) = 1 cold item, too few to split into valid and test
+        (tmp_path / "interactions.tsv").write_text(
+            "".join(f"u{u}\ti{i}\n" for u in range(3) for i in range(8)),
+            encoding="utf-8",
+        )
+        write_features(tmp_path / "features_content.latf", np.eye(8, 3) + 1.0)
+        cfg_path = tmp_path / "r.cfg"
+        cfg_path.write_text(
+            BASE_CONFIG + 'split_mode = "cold"\nitem_fraction = 0.2\n', encoding="utf-8"
+        )
+        code = main(["prepare", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: item_fraction 0.2 selects fewer than 2 of 8 items\n"
+
 
 class TestEvaluate:
     def test_writes_report_for_each_partition(self, workspace, trained, capsys):

@@ -239,6 +239,52 @@ class TestTopK:
         assert a.indptr.tolist() == b.indptr.tolist()
         np.testing.assert_allclose(np.sqrt(a.values), b.values, atol=1e-12)
 
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="more similarity rows than nodes"):
+            topk_sparsify([np.ones((2, 3)), np.ones((2, 3))], 1, 3)
+        with pytest.raises(ValueError, match="expected 3 similarity rows, got 2"):
+            topk_sparsify([np.ones((2, 3))], 1, 3)
+
+
+def stable_topk_reference(sim, k):
+    """CSR arrays of each row's stable-argsort top k, zeros dropped, columns sorted."""
+    indptr, indices, values = [0], [], []
+    for row in sim:
+        cols = np.sort(np.argsort(-row, kind="stable")[:k])
+        cols = cols[row[cols] > 0.0]
+        indptr.append(indptr[-1] + cols.size)
+        indices.append(cols)
+        values.append(row[cols])
+    return np.array(indptr), np.concatenate(indices), np.concatenate(values)
+
+
+@st.composite
+def topk_cases(draw):
+    """Features and k at sizes where the group bound runs (n >= 16 k for small k)."""
+    n = draw(st.integers(16, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feats = rng.standard_normal((n, draw(st.integers(1, 6))))
+    if draw(st.booleans()):
+        feats = np.round(feats)  # quantized: heavy ties at the boundary
+    feats[rng.random(n) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    g = n // 16
+    return feats, draw(st.sampled_from([0, 1, g, g + 1, n - 1, n, n + 3]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(topk_cases())
+def test_topk_matches_stable_argsort_reference(case):
+    # 37-row blocks do not divide n; few feature dims leave rows with fewer
+    # than k positive similarities
+    feats, k = case
+    n = feats.shape[0]
+    got = topk_sparsify(iter_cosine_rows(feats, chunk_rows=37), k, n)
+    sim = np.vstack(list(iter_cosine_rows(feats, chunk_rows=37)))
+    indptr, indices, values = stable_topk_reference(sim, k)
+    assert np.array_equal(got.indptr, indptr)
+    assert np.array_equal(got.indices, indices)
+    assert got.values.tobytes() == values.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # symmetric normalization

@@ -1,13 +1,16 @@
 """Forward pass: propagation, backends, enhancement, scoring, checkpoints."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from test_graph import dense_mixed_graph
 
 from conftest import tiny_instance
 from lattice.data import make_dataset
+import lattice.model
 from lattice.errors import CheckpointError
-from lattice.graph import SparseGraph
+from lattice.graph import SparseGraph, aggregate_modalities
 from lattice.model import (
     ModelConfig,
     ModelInputs,
@@ -20,7 +23,7 @@ from lattice.model import (
     save_checkpoint,
     score_matrix,
 )
-from lattice.training import init_parameters
+from lattice.training import TrainConfig, compute_gradients, init_parameters
 
 
 def graph_from_dense(matrix):
@@ -259,6 +262,21 @@ class TestForwardVariants:
         norms = np.linalg.norm(h, axis=1)
         add = np.where(norms[:, None] >= 1e-12, h / np.maximum(norms, 1e-12)[:, None], 0.0)
         np.testing.assert_allclose(out.enhanced_items, params.item_emb + add, atol=1e-8)
+
+    def test_lambda_one_never_builds_learned_graph(self, monkeypatch):
+        cfg, inputs, params, batch = tiny_instance("full", "mf")
+        cfg = dataclasses.replace(cfg, fuse_lambda=1.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("learned graph built at fuse_lambda = 1")
+
+        monkeypatch.setattr(lattice.model, "knn_cosine_graph", refuse)
+        _, grads, cache = compute_gradients(cfg, TrainConfig(), params, inputs, batch)
+        initial = [inputs.initial_graphs[m] for m in sorted(inputs.features)]
+        expected, _ = aggregate_modalities(initial, params.logits)
+        np.testing.assert_array_equal(cache.graph.to_dense(), expected.to_dense())
+        for m in params.modalities:
+            assert not grads[f"transform_w.{m}"].any()
 
     def test_feats_side_info_skips_graph(self):
         cfg, inputs, params, _ = tiny_instance("feats_side_info", "mf")
