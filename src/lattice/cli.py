@@ -16,7 +16,15 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import RunConfig, load_run_config
-from .data import InteractionDataset, Split, load_features, load_interactions, split_cold, split_warm
+from .data import (
+    InteractionDataset,
+    Split,
+    load_features,
+    load_interactions,
+    split_cold,
+    split_warm,
+    write_atomic,
+)
 from .errors import CheckpointError, ConfigError, LatticeError
 from .evaluation import evaluate
 from .graph import build_initial_graph, write_graph_dump
@@ -85,9 +93,8 @@ def _load_split(cfg: RunConfig) -> tuple[InteractionDataset, Split, dict]:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, [text.encode("utf-8")])
 
 
 def _write_manifest(cfg: RunConfig, split: Split, out_dir: Path) -> Path:
@@ -262,14 +269,15 @@ def cmd_sweep(
     header = ["value"]
     for c in cutoffs:
         header += [f"recall@{c}", f"precision@{c}", f"ndcg@{c}"]
-    with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for value, payload in zip(values, payloads):
-            row = [str(value)]
-            for c in cutoffs:
-                block = payload["metrics"][str(c)]
-                row += [repr(block["recall"]), repr(block["precision"]), repr(block["ndcg"])]
-            fh.write("\t".join(row) + "\n")
+    rows = [header]
+    for value, payload in zip(values, payloads):
+        row = [str(value)]
+        for c in cutoffs:
+            block = payload["metrics"][str(c)]
+            row += [repr(block["recall"]), repr(block["precision"]), repr(block["ndcg"])]
+        rows.append(row)
+    table = "".join("\t".join(row) + "\n" for row in rows)
+    write_atomic(table_path, [table.encode("utf-8")])
     print(f"wrote {table_path}")
     return 0
 

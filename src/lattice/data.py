@@ -8,9 +8,11 @@ External formats:
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -225,11 +227,9 @@ def split_cold(ds: InteractionDataset, item_fraction: float, seed: int) -> Split
             f"{ds.num_items} items"
         )
     cold = rng.choice(ds.num_items, size=n_cold, replace=False).astype(np.int64)
-    valid_items = set(int(i) for i in cold[: n_cold // 2])
-    test_items = set(int(i) for i in cold[n_cold // 2 :])
     items = ds.pairs[:, 1]
-    in_valid = np.fromiter((int(i) in valid_items for i in items), bool, items.size)
-    in_test = np.fromiter((int(i) in test_items for i in items), bool, items.size)
+    in_valid = np.isin(items, cold[: n_cold // 2])
+    in_test = np.isin(items, cold[n_cold // 2 :])
     return Split(
         mode="cold",
         seed=seed,
@@ -285,6 +285,27 @@ class ModalityFeatures:
     @property
     def dim(self) -> int:
         return int(self.matrix.shape[1])
+
+
+def write_atomic(path, chunks: Iterable[bytes]) -> None:
+    """Replace path with the concatenated chunks, or leave it untouched.
+
+    The chunks go to a temp file in path's directory, which is synced and
+    then renamed over path; a failure before the rename removes the temp
+    file, so readers see either the previous file or the complete new one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_features(path, matrix: np.ndarray) -> None:

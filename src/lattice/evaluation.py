@@ -26,13 +26,21 @@ def rank_items(
     enhanced_items: np.ndarray,
     excluded: Sequence[int] | np.ndarray,
 ) -> np.ndarray:
-    """Candidate items sorted by descending score, ties to smaller item id."""
-    num_items = enhanced_items.shape[0]
-    excluded_arr = np.asarray(list(excluded), dtype=np.int64)
-    candidates = np.setdiff1d(np.arange(num_items, dtype=np.int64), excluded_arr)
-    scores = enhanced_items[candidates] @ user_vec
-    order = np.argsort(-scores, kind="stable")
-    return candidates[order]
+    """Candidate items sorted by descending score, ties to smaller item id.
+
+    Every item is scored and sorted; excluded ids (in [0, num_items)) are
+    dropped from the sorted order.  NaN scores rank last.  Without equal
+    scores or NaN the descending order is unique, so the fast unstable sort
+    gives it; otherwise a stable sort puts tied items in id order.
+    """
+    neg = -(enhanced_items @ user_vec)
+    keep = np.ones(neg.size, dtype=bool)
+    keep[np.asarray(excluded, dtype=np.int64)] = False
+    order = np.argsort(neg)
+    ordered = neg[order]
+    if ordered.size and (np.isnan(ordered[-1]) or np.any(ordered[1:] == ordered[:-1])):
+        order = np.argsort(neg, kind="stable")
+    return order[keep[order]]
 
 
 def _hit_positions(ranked: np.ndarray, relevant: set, k: int) -> np.ndarray:

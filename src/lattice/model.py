@@ -15,6 +15,7 @@ path.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .data import InteractionDataset, ModalityFeatures, build_bipartite_graph
+from .data import InteractionDataset, ModalityFeatures, build_bipartite_graph, write_atomic
 from .errors import CheckpointError
 from .graph import (
     SparseGraph,
@@ -244,10 +245,11 @@ def build_item_graph(
 
     With k = 0 every per-modality graph is empty and so is the mix.  With
     fuse_lambda = 1 the learned graph carries zero weight, so it is not
-    built: each fused graph is the initial graph itself, as fuse_skip would
-    return it.  Records build intermediates on cache when one is supplied.
+    built, nor are the transformed features it would be built from: each
+    fused graph is the initial graph itself, as fuse_skip would return it.
+    Records build intermediates on cache when one is supplied.
     """
-    if h_modal is None:
+    if h_modal is None and cfg.fuse_lambda != 1.0:
         h_modal = _transformed_features(params, inputs, cache)
     fused_list = []
     modalities = sorted(inputs.features)
@@ -432,13 +434,9 @@ def save_checkpoint(
         "meta": dict(meta or {}),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for _, arr in params.named():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes(order="C"))
+    prefix = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob
+    blocks = (np.ascontiguousarray(arr, dtype="<f4").tobytes() for _, arr in params.named())
+    write_atomic(path, itertools.chain([prefix], blocks))
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ParameterSet, dict]:

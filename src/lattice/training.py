@@ -374,9 +374,11 @@ def compute_gradients(
         for m in params.modalities:
             g_h = grad_h_modal.get(m)
             if g_h is None:
-                g_h = np.zeros((inputs.num_items, cfg.hidden_dim))
-            grads[f"transform_w.{m}"] = g_h.T @ inputs.features[m]
-            grads[f"transform_b.{m}"] = g_h.sum(axis=0)
+                grads[f"transform_w.{m}"] = np.zeros_like(params.transform_w[m])
+                grads[f"transform_b.{m}"] = np.zeros_like(params.transform_b[m])
+            else:
+                grads[f"transform_w.{m}"] = g_h.T @ inputs.features[m]
+                grads[f"transform_b.{m}"] = g_h.sum(axis=0)
 
     # backend back to the tables
     if cfg.backend == "mf":

@@ -1,6 +1,7 @@
 """Config parsing and the prepare/train/evaluate/sweep command flows."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -536,3 +537,35 @@ class TestSweep:
         assert [ln.split("\t")[1:] for ln in serial] == [
             ln.split("\t")[1:] for ln in parallel
         ]
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize(
+        "command, target",
+        [
+            (["prepare"], "split_manifest.json"),
+            (["evaluate", "--partition", "test"], "report_test.json"),
+            (["sweep", "--axis", "k", "--values", "3"], "sweep_k.tsv"),
+        ],
+    )
+    def test_failed_rewrite_keeps_previous_output(
+        self, workspace, trained, tmp_path, monkeypatch, command, target
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "checkpoint.bin").write_bytes((trained / "checkpoint.bin").read_bytes())
+        previous = out / target
+        previous.write_bytes(b"previous run\n")
+        real_replace = os.replace
+
+        def crash_on_target(src, dst):
+            if os.path.basename(dst) == target:
+                raise OSError("simulated crash before rename")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_on_target)
+        argv = [command[0], "--config", str(workspace / "run.cfg"), "--out", str(out)]
+        with pytest.raises(OSError, match="simulated crash"):
+            main(argv + command[1:])
+        assert previous.read_bytes() == b"previous run\n"
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]

@@ -14,6 +14,7 @@ from lattice.data import (
     sample_negative,
     split_cold,
     split_warm,
+    write_atomic,
     write_features,
 )
 from lattice.errors import DataFormatError
@@ -332,3 +333,25 @@ class TestFeatureIO:
         )
         with pytest.raises(DataFormatError, match="non-finite"):
             load_features(path, 1, "img")
+
+
+class TestWriteAtomic:
+    def test_replaces_previous_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"previous")
+        write_atomic(path, [b"new ", b"bytes"])
+        assert path.read_bytes() == b"new bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_failure_midway_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"previous")
+
+        def chunks():
+            yield b"half of the new"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_atomic(path, chunks())
+        assert path.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]

@@ -1,8 +1,13 @@
 """Ranking, metric, and report-level evaluation behavior."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lattice.evaluation
 from lattice.data import make_dataset, split_warm
 from lattice.errors import EvaluationError
 from lattice.evaluation import (
@@ -58,6 +63,74 @@ class TestRankItems:
         items = np.array([[-1.0], [0.0], [-2.0]])
         ranked = rank_items(np.array([1.0]), items, [])
         assert ranked.tolist() == [1, 0, 2]
+
+
+def gather_rank_reference(user_vec, enhanced_items, excluded):
+    """Score only the candidates, then one stable argsort (the former rank_items)."""
+    num_items = enhanced_items.shape[0]
+    excluded_arr = np.asarray(list(excluded), dtype=np.int64)
+    candidates = np.setdiff1d(np.arange(num_items, dtype=np.int64), excluded_arr)
+    scores = enhanced_items[candidates] @ user_vec
+    order = np.argsort(-scores, kind="stable")
+    return candidates[order]
+
+
+@st.composite
+def rank_cases(draw):
+    """Scores on a dyadic grid, so every summation order gives the same bits.
+
+    BLAS may sum a row's products in an order that depends on where the row
+    sits in the matrix, so arbitrary floats would make the gathered reference
+    differ from full-catalogue scoring in the last bit.  Entries are
+    multiples of 2^-20 of magnitude at most 1 and d <= 8, so every partial sum
+    is exact.  A coarse grid makes ties (the stable fallback); a fine grid
+    makes distinct scores (the unstable fast path).
+    """
+    n = draw(st.integers(1, 600))
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([2, 2**20]))
+    items = rng.integers(-scale, scale + 1, size=(n, d)) / 2.0**20
+    user_vec = rng.integers(-scale, scale + 1, size=d) / 2.0**20
+    special = rng.random(n)
+    items[special < draw(st.sampled_from([0.0, 0.05]))] = np.nan
+    items[(special > 0.9) & (special < 0.9 + draw(st.sampled_from([0.0, 0.05])))] = 0.0
+    items[special > 1.0 - draw(st.sampled_from([0.0, 0.05]))] = -0.0
+    mode = draw(st.sampled_from(["none", "some", "duplicated", "all"]))
+    if mode == "none":
+        excluded = []
+    elif mode == "all":
+        excluded = list(range(n)) * draw(st.integers(1, 2))
+    else:
+        excluded = rng.integers(0, n, size=draw(st.integers(1, n))).tolist()
+        if mode == "duplicated":
+            excluded += excluded
+    if draw(st.booleans()):
+        excluded = np.asarray(excluded, dtype=np.int64)
+    return user_vec, items, excluded
+
+
+def test_rank_items_matches_gather_reference():
+    paths = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(rank_cases())
+    def check(case):
+        user_vec, items, excluded = case
+        expected = gather_rank_reference(user_vec, items, excluded)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+            got = rank_items(user_vec, items, excluded)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        stable = [c.kwargs.get("kind") == "stable" for c in spy.call_args_list]
+        has_nan = bool(np.isnan(items @ user_vec).any())
+        # NaN must force the stable sort, which runs only after the fast one
+        assert stable in ([False], [False, True])
+        assert stable[-1] or not has_nan
+        paths.add((stable[-1], has_nan))
+
+    check()
+    assert {(False, False), (True, False), (True, True)} <= paths
 
 
 class TestMetricHandCases:
@@ -205,6 +278,24 @@ class TestEvaluate:
         )
         with pytest.raises(EvaluationError, match="no users"):
             evaluate(params, cfg, split, {}, "valid")
+
+    def test_ranks_each_user_with_one_positional_call(self, monkeypatch):
+        # perfbench times ranking by wrapping rank_items(user_vec,
+        # enhanced_items, excluded); one call per evaluated user keeps its
+        # step metrics defined
+        split = tiny_split()
+        result = self.run_fit(split)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((len(args), kwargs))
+            return rank_items(*args, **kwargs)
+
+        monkeypatch.setattr(lattice.evaluation, "rank_items", recording)
+        for partition in ("valid", "test"):
+            calls.clear()
+            report = evaluate(result.params, result.model_cfg, split, {}, partition)
+            assert calls == [(3, {})] * report.num_users_evaluated
 
     def test_unknown_partition_rejected(self):
         split = tiny_split()

@@ -278,6 +278,21 @@ class TestForwardVariants:
         for m in params.modalities:
             assert not grads[f"transform_w.{m}"].any()
 
+    @pytest.mark.parametrize("backend", ["mf", "lightgcn"])
+    def test_lambda_one_never_transforms_features(self, backend, monkeypatch):
+        cfg, inputs, params, batch = tiny_instance("full", backend)
+        cfg = dataclasses.replace(cfg, fuse_lambda=1.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("features transformed at fuse_lambda = 1")
+
+        monkeypatch.setattr(lattice.model, "transform_features", refuse)
+        _, grads, _ = compute_gradients(cfg, TrainConfig(), params, inputs, batch)
+        for m in params.modalities:
+            for name in (f"transform_w.{m}", f"transform_b.{m}"):
+                assert grads[name].shape == params.get(name).shape
+                assert not grads[name].any()
+
     def test_feats_side_info_skips_graph(self):
         cfg, inputs, params, _ = tiny_instance("feats_side_info", "mf")
         out = forward(cfg, params, inputs)
@@ -292,6 +307,18 @@ class TestForwardVariants:
 
 
 class TestCheckpoints:
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        cfg, _, params, _ = tiny_instance("full", "mf")
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, cfg, params)
+        previous = path.read_bytes()
+        # the logits block cannot be cast to float32, after earlier blocks are written
+        broken = dataclasses.replace(params, logits=np.array(["x"], dtype=object))
+        with pytest.raises(ValueError):
+            save_checkpoint(path, cfg, broken)
+        assert path.read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+
     def test_roundtrip_preserves_float32_values(self, tmp_path):
         cfg, _, params, _ = tiny_instance("full", "mf")
         path = tmp_path / "ckpt.bin"
