@@ -264,34 +264,22 @@ class TestForwardVariants:
         np.testing.assert_allclose(out.enhanced_items, params.item_emb + add, atol=1e-8)
 
     def test_lambda_one_never_builds_learned_graph(self, monkeypatch):
-        cfg, inputs, params, batch = tiny_instance("full", "mf")
-        cfg = dataclasses.replace(cfg, fuse_lambda=1.0)
-
         def refuse(*args, **kwargs):
-            raise AssertionError("learned graph built at fuse_lambda = 1")
+            raise AssertionError("learned graph built or features transformed at fuse_lambda = 1")
 
         monkeypatch.setattr(lattice.model, "knn_cosine_graph", refuse)
-        _, grads, cache = compute_gradients(cfg, TrainConfig(), params, inputs, batch)
-        initial = [inputs.initial_graphs[m] for m in sorted(inputs.features)]
-        expected, _ = aggregate_modalities(initial, params.logits)
-        np.testing.assert_array_equal(cache.graph.to_dense(), expected.to_dense())
-        for m in params.modalities:
-            assert not grads[f"transform_w.{m}"].any()
-
-    @pytest.mark.parametrize("backend", ["mf", "lightgcn"])
-    def test_lambda_one_never_transforms_features(self, backend, monkeypatch):
-        cfg, inputs, params, batch = tiny_instance("full", backend)
-        cfg = dataclasses.replace(cfg, fuse_lambda=1.0)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("features transformed at fuse_lambda = 1")
-
         monkeypatch.setattr(lattice.model, "transform_features", refuse)
-        _, grads, _ = compute_gradients(cfg, TrainConfig(), params, inputs, batch)
-        for m in params.modalities:
-            for name in (f"transform_w.{m}", f"transform_b.{m}"):
-                assert grads[name].shape == params.get(name).shape
-                assert not grads[name].any()
+        for backend in ("mf", "lightgcn"):
+            cfg, inputs, params, batch = tiny_instance("full", backend)
+            cfg = dataclasses.replace(cfg, fuse_lambda=1.0)
+            _, grads, cache = compute_gradients(cfg, TrainConfig(), params, inputs, batch)
+            initial = [inputs.initial_graphs[m] for m in sorted(inputs.features)]
+            expected, _ = aggregate_modalities(initial, params.logits)
+            np.testing.assert_array_equal(cache.graph.to_dense(), expected.to_dense())
+            for m in params.modalities:
+                for name in (f"transform_w.{m}", f"transform_b.{m}"):
+                    assert grads[name].shape == params.get(name).shape
+                    assert not grads[name].any()
 
     def test_feats_side_info_skips_graph(self):
         cfg, inputs, params, _ = tiny_instance("feats_side_info", "mf")
