@@ -48,6 +48,7 @@ from .model import (
     enhance_items,
     forward,
     load_checkpoint,
+    parameter_shapes,
     propagate_item_graph,
     save_checkpoint,
 )

@@ -28,7 +28,7 @@ from .data import (
 from .errors import CheckpointError, ConfigError, LatticeError
 from .evaluation import evaluate
 from .graph import build_initial_graph, write_graph_dump
-from .model import load_checkpoint, save_checkpoint
+from .model import load_checkpoint, parameter_shapes, save_checkpoint
 from .training import fit
 
 CHECKPOINT_NAME = "checkpoint.bin"
@@ -171,15 +171,17 @@ def cmd_evaluate(
             f"does not match the config's {cfg.model_config()}"
         )
     _, split, features = _load_split(cfg)
-    if params.user_emb.shape[0] != split.train.num_users or params.item_emb.shape[0] != split.train.num_items:
+    expected = parameter_shapes(
+        model_cfg,
+        split.train.num_users,
+        split.train.num_items,
+        {m: f.dim for m, f in features.items()},
+    )
+    actual = {name: arr.shape for name, arr in params.items()}
+    if actual != expected:
         raise CheckpointError(
-            f"{ckpt_path}: checkpoint shapes do not match the dataset "
-            f"({params.user_emb.shape[0]} users, {params.item_emb.shape[0]} items)"
-        )
-    if model_cfg.uses_modal_features and params.modalities != tuple(sorted(features)):
-        raise CheckpointError(
-            f"{ckpt_path}: checkpoint modalities {params.modalities} do not match "
-            f"the config's {tuple(sorted(features))}"
+            f"{ckpt_path}: checkpoint parameter shapes {actual} do not match the "
+            f"dataset and the config's modalities, which need {expected}"
         )
     report = evaluate(
         params, model_cfg, split, features, partition, cutoffs=cfg["cutoffs"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -120,30 +120,14 @@ class RunConfig:
     def out_dir(self) -> Path:
         return self.resolve_path(self.values["out_dir"])
 
+    def _build(self, cls):
+        return cls(**{f.name: self.values[f.name] for f in fields(cls)})
+
     def model_config(self) -> ModelConfig:
-        v = self.values
-        return ModelConfig(
-            backend=v["backend"],
-            variant=v["variant"],
-            embed_dim=v["embed_dim"],
-            hidden_dim=v["hidden_dim"],
-            k=v["k"],
-            fuse_lambda=v["fuse_lambda"],
-            item_layers=v["item_layers"],
-            cf_layers=v["cf_layers"],
-        )
+        return self._build(ModelConfig)
 
     def train_config(self) -> TrainConfig:
-        v = self.values
-        return TrainConfig(
-            learning_rate=v["learning_rate"],
-            l2_coeff=v["l2_coeff"],
-            batch_size=v["batch_size"],
-            max_epochs=v["max_epochs"],
-            patience=v["patience"],
-            seed=v["seed"],
-            graph_refresh=v["graph_refresh"],
-        )
+        return self._build(TrainConfig)
 
     def digest(self) -> str:
         canonical = json.dumps(self.values, sort_keys=True, separators=(",", ":"))
@@ -176,7 +160,7 @@ def parse_config_text(text: str, base_dir, source: str = "<config>") -> RunConfi
             raise ConfigError(f"{source}: line {lineno}: unknown key {key!r}")
         try:
             value = json.loads(rest)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(
                 f"{source}: line {lineno}: value for {key!r} is not valid JSON: {exc}"
             ) from exc

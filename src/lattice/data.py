@@ -102,7 +102,7 @@ def load_interactions(path) -> InteractionDataset:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read interactions {path}: {exc}") from exc
     lines = raw.split("\n")
     while lines and lines[-1] == "":
@@ -344,11 +344,11 @@ def load_features(path, num_items: int, modality_id: str) -> ModalityFeatures:
             f"{path}: payload holds {len(blob) - header_len} bytes, "
             f"expected {rows * cols * 4}"
         )
-    mat = np.frombuffer(blob, dtype="<f4", offset=header_len).reshape(rows, cols)
     if rows != num_items:
         raise DataFormatError(
             f"{path}: {rows} feature rows for {num_items} items"
         )
+    mat = np.frombuffer(blob, dtype="<f4", offset=header_len).reshape(rows, cols)
     if not np.all(np.isfinite(mat)):
         raise DataFormatError(f"{path}: non-finite feature values")
     return ModalityFeatures(modality_id=modality_id, matrix=mat.astype(np.float64))

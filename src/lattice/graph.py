@@ -15,6 +15,7 @@ for the exact cut.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -405,37 +406,49 @@ def write_graph_dump(
     """Write edges as src/dst/weight TSV plus a JSON sidecar of parameters.
 
     base_path gets .tsv and .json suffixes appended; paths are returned.
+    Each file is replaced atomically, and the sidecar is encoded before
+    either is written.
     """
+    from .data import write_atomic  # data imports this module
+
     tsv_path = f"{base_path}.tsv"
     json_path = f"{base_path}.json"
-    rows = graph.edge_rows()
-    with open(tsv_path, "w", encoding="utf-8") as fh:
-        fh.write("src\tdst\tweight\n")
-        for r, c, v in zip(rows, graph.indices, graph.values):
-            fh.write(f"{r}\t{c}\t{float(v)!r}\n")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(dict(meta), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    sidecar = (json.dumps(dict(meta), indent=2, sort_keys=True) + "\n").encode("utf-8")
+    edges = zip(graph.edge_rows(), graph.indices, graph.values)
+    lines = (f"{r}\t{c}\t{float(v)!r}\n".encode("utf-8") for r, c, v in edges)
+    write_atomic(tsv_path, itertools.chain([b"src\tdst\tweight\n"], lines))
+    write_atomic(json_path, [sidecar])
     return tsv_path, json_path
 
 
 def read_graph_dump(tsv_path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a graph dump TSV back as (src, dst, weight) arrays."""
+    """Read a graph dump TSV back as (src, dst, weight) arrays.
+
+    Malformed content raises DataFormatError naming the line.
+    """
+    try:
+        with open(tsv_path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read graph dump {tsv_path}: {exc}") from exc
+    if lines[0] != "src\tdst\tweight":
+        raise DataFormatError(f"{tsv_path}: unexpected header {lines[0]!r}")
     src, dst, wgt = [], [], []
-    with open(tsv_path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "src\tdst\tweight":
-            raise DataFormatError(f"{tsv_path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataFormatError(f"{tsv_path}: line {lineno}: expected 3 fields")
-            src.append(int(parts[0]))
-            dst.append(int(parts[1]))
-            wgt.append(float(parts[2]))
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataFormatError(f"{tsv_path}: line {lineno}: expected 3 fields")
+        try:
+            s, d, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise DataFormatError(f"{tsv_path}: line {lineno}: {exc}") from exc
+        if not (0 <= s < 2**63 and 0 <= d < 2**63):
+            raise DataFormatError(f"{tsv_path}: line {lineno}: node id out of range")
+        src.append(s)
+        dst.append(d)
+        wgt.append(w)
     return (
         np.asarray(src, dtype=np.int64),
         np.asarray(dst, dtype=np.int64),

@@ -15,11 +15,14 @@ path.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
+import math
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -84,58 +87,82 @@ class ModelConfig:
     def uses_projection(self) -> bool:
         return self.variant in ("conv_on_feats", "feats_side_info")
 
-    @property
-    def uses_mixer(self) -> bool:
-        return self.uses_item_graph
 
+class ParameterSet(dict):
+    """All trainable arrays, float64, keyed by canonical name in canonical order.
 
-@dataclass
-class ParameterSet:
-    """All trainable arrays, float64, addressable by canonical name.
-
-    Canonical order (used for checkpoints and gradient checks): user and item
-    tables, then per modality (sorted by id) transform weight and bias, then
-    mixer logits, then the feature projection.  Absent parts are None.
+    The names and their order are those of parameter_shapes; checkpoints and
+    gradient checks follow it.  The properties are read-only views of the
+    parameter roles; an absent optional part reads as None.
     """
 
-    user_emb: np.ndarray
-    item_emb: np.ndarray
-    modalities: tuple
-    transform_w: dict
-    transform_b: dict
-    logits: np.ndarray | None = None
-    projection: np.ndarray | None = None
-
-    def named(self) -> Iterator[tuple[str, np.ndarray]]:
-        yield "user_emb", self.user_emb
-        yield "item_emb", self.item_emb
-        for m in self.modalities:
-            yield f"transform_w.{m}", self.transform_w[m]
-            yield f"transform_b.{m}", self.transform_b[m]
-        if self.logits is not None:
-            yield "modality_logits", self.logits
-        if self.projection is not None:
-            yield "projection", self.projection
+    def named(self):
+        return self.items()
 
     def names(self) -> list[str]:
-        return [name for name, _ in self.named()]
-
-    def get(self, name: str) -> np.ndarray:
-        for n, arr in self.named():
-            if n == name:
-                return arr
-        raise KeyError(name)
+        return list(self)
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet(
-            user_emb=self.user_emb.copy(),
-            item_emb=self.item_emb.copy(),
-            modalities=self.modalities,
-            transform_w={m: w.copy() for m, w in self.transform_w.items()},
-            transform_b={m: b.copy() for m, b in self.transform_b.items()},
-            logits=None if self.logits is None else self.logits.copy(),
-            projection=None if self.projection is None else self.projection.copy(),
+        """A copy that shares no array with this set."""
+        return ParameterSet((name, arr.copy()) for name, arr in self.items())
+
+    def _role(self, prefix: str) -> Mapping[str, np.ndarray]:
+        return MappingProxyType(
+            {n[len(prefix) :]: arr for n, arr in self.items() if n.startswith(prefix)}
         )
+
+    @property
+    def user_emb(self) -> np.ndarray:
+        return self["user_emb"]
+
+    @property
+    def item_emb(self) -> np.ndarray:
+        return self["item_emb"]
+
+    @property
+    def transform_w(self) -> Mapping[str, np.ndarray]:
+        return self._role("transform_w.")
+
+    @property
+    def transform_b(self) -> Mapping[str, np.ndarray]:
+        return self._role("transform_b.")
+
+    @property
+    def modalities(self) -> tuple:
+        return tuple(self.transform_w)
+
+    @property
+    def logits(self) -> np.ndarray | None:
+        return self.get("modality_logits")
+
+    @property
+    def projection(self) -> np.ndarray | None:
+        return self.get("projection")
+
+
+def parameter_shapes(
+    cfg: ModelConfig, num_users: int, num_items: int, feat_dims: Mapping[str, int]
+) -> dict[str, tuple]:
+    """Canonical name -> shape of every trainable array of a config.
+
+    The order is canonical: user and item tables, then per modality (sorted
+    by id) transform weight and bias, then mixer logits, then the feature
+    projection.  Variants without modal features ignore feat_dims.
+    """
+    shapes = {"user_emb": (num_users, cfg.embed_dim), "item_emb": (num_items, cfg.embed_dim)}
+    if not cfg.uses_modal_features:
+        return shapes
+    modalities = sorted(feat_dims)
+    if not modalities:
+        raise ValueError(f"variant {cfg.variant!r} requires content features")
+    for m in modalities:
+        shapes[f"transform_w.{m}"] = (cfg.hidden_dim, feat_dims[m])
+        shapes[f"transform_b.{m}"] = (cfg.hidden_dim,)
+    if cfg.uses_item_graph:
+        shapes["modality_logits"] = (len(modalities),)
+    if cfg.uses_projection:
+        shapes["projection"] = (cfg.embed_dim, cfg.hidden_dim * len(modalities))
+    return shapes
 
 
 @dataclass(frozen=True)
@@ -412,35 +439,30 @@ def save_checkpoint(
     params: ParameterSet,
     meta: Mapping[str, object] | None = None,
 ) -> None:
-    """Write config, shapes, and parameters; block order follows params.named()."""
-    entries = [
-        {"name": name, "shape": list(arr.shape)} for name, arr in params.named()
-    ]
+    """Write config, shapes, and parameters; block order follows params."""
     header = {
-        "config": {
-            "backend": cfg.backend,
-            "variant": cfg.variant,
-            "embed_dim": cfg.embed_dim,
-            "hidden_dim": cfg.hidden_dim,
-            "k": cfg.k,
-            "fuse_lambda": cfg.fuse_lambda,
-            "item_layers": cfg.item_layers,
-            "cf_layers": cfg.cf_layers,
-        },
+        "config": dataclasses.asdict(cfg),
         "num_users": int(params.user_emb.shape[0]),
         "num_items": int(params.item_emb.shape[0]),
         "modalities": list(params.modalities),
-        "parameters": entries,
+        "parameters": [
+            {"name": name, "shape": list(arr.shape)} for name, arr in params.items()
+        ],
         "meta": dict(meta or {}),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     prefix = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob
-    blocks = (np.ascontiguousarray(arr, dtype="<f4").tobytes() for _, arr in params.named())
+    blocks = (np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in params.values())
     write_atomic(path, itertools.chain([prefix], blocks))
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ParameterSet, dict]:
-    """Read a checkpoint; parameters come back as float64."""
+    """Read a checkpoint; parameters come back as float64.
+
+    The parameter blocks must be exactly those parameter_shapes lists for the
+    header's config, user and item counts, and modality widths; any other
+    malformed content raises CheckpointError.
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -457,37 +479,31 @@ def load_checkpoint(path) -> tuple[ModelConfig, ParameterSet, dict]:
     try:
         header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
         cfg = ModelConfig(**header["config"])
-        entries = header["parameters"]
-        modalities = tuple(header["modalities"])
+        entries = [(entry["name"], tuple(entry["shape"])) for entry in header["parameters"]]
+        if not all(type(d) is int and d >= 0 for _, shape in entries for d in shape):
+            raise ValueError("parameter shapes must be lists of non-negative integers")
+        widths = {name: shape[-1] for name, shape in entries if shape}
+        feat_dims = {m: widths.get(f"transform_w.{m}") for m in header["modalities"]}
+        expected = parameter_shapes(cfg, header["num_users"], header["num_items"], feat_dims)
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint header: {exc}") from exc
+    if entries != list(expected.items()):
+        raise CheckpointError(
+            f"{path}: parameter blocks {entries} do not match "
+            f"{list(expected.items())}, which the header's config needs"
+        )
     offset = 12 + header_len
-    arrays = {}
-    for entry in entries:
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + count * 4
+    params = ParameterSet()
+    for name, shape in entries:
+        end = offset + 4 * math.prod(shape)
         if end > len(blob):
-            raise CheckpointError(f"{path}: truncated parameter block {entry['name']}")
-        arr = np.frombuffer(blob[offset:end], dtype="<f4").reshape(shape)
-        arrays[entry["name"]] = arr.astype(np.float64)
+            raise CheckpointError(f"{path}: truncated parameter block {name}")
+        try:
+            arr = np.frombuffer(blob[offset:end], dtype="<f4").reshape(shape)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: bad parameter block {name}: {exc}") from exc
+        params[name] = arr.astype(np.float64)
         offset = end
     if offset != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after parameter blocks")
-    try:
-        params = ParameterSet(
-            user_emb=arrays.pop("user_emb"),
-            item_emb=arrays.pop("item_emb"),
-            modalities=modalities,
-            transform_w={m: arrays.pop(f"transform_w.{m}") for m in modalities},
-            transform_b={m: arrays.pop(f"transform_b.{m}") for m in modalities},
-            logits=arrays.pop("modality_logits", None),
-            projection=arrays.pop("projection", None),
-        )
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: missing parameter block {exc}") from exc
-    if arrays:
-        raise CheckpointError(
-            f"{path}: unexpected parameter blocks {sorted(arrays)}"
-        )
     return cfg, params, header.get("meta", {})

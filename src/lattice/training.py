@@ -32,6 +32,7 @@ from .model import (
     ParameterSet,
     build_inputs,
     forward_pass,
+    parameter_shapes,
 )
 
 ADAM_BETA1 = 0.9
@@ -81,40 +82,16 @@ def init_parameters(
     feat_dims: Mapping[str, int],
     rng: np.random.Generator,
 ) -> ParameterSet:
-    """Draw all trainable arrays.
+    """Draw all trainable arrays, in the canonical order of parameter_shapes.
 
-    Tables and weight matrices are Xavier-initialized; biases and mixture
-    logits start at zero.  Draw order is fixed (tables first, then modality
-    transforms in sorted order, then the projection) so configs sharing a
-    seed share their table initializations.
+    Tables, weight matrices and the projection (every 2-D shape) are
+    Xavier-initialized; biases and mixture logits start at zero.  Tables are
+    drawn first, so configs sharing a seed share their table initializations.
     """
-    user_emb = xavier_init((num_users, cfg.embed_dim), rng)
-    item_emb = xavier_init((num_items, cfg.embed_dim), rng)
-    modalities: tuple = ()
-    transform_w: dict = {}
-    transform_b: dict = {}
-    logits = None
-    projection = None
-    if cfg.uses_modal_features:
-        modalities = tuple(sorted(feat_dims))
-        if not modalities:
-            raise ValueError(f"variant {cfg.variant!r} requires content features")
-        for m in modalities:
-            transform_w[m] = xavier_init((cfg.hidden_dim, int(feat_dims[m])), rng)
-            transform_b[m] = np.zeros(cfg.hidden_dim)
-        if cfg.uses_mixer:
-            logits = np.zeros(len(modalities))
-        if cfg.uses_projection:
-            total_hidden = cfg.hidden_dim * len(modalities)
-            projection = xavier_init((cfg.embed_dim, total_hidden), rng)
+    shapes = parameter_shapes(cfg, num_users, num_items, feat_dims)
     return ParameterSet(
-        user_emb=user_emb,
-        item_emb=item_emb,
-        modalities=modalities,
-        transform_w=transform_w,
-        transform_b=transform_b,
-        logits=logits,
-        projection=projection,
+        (name, xavier_init(shape, rng) if len(shape) == 2 else np.zeros(shape))
+        for name, shape in shapes.items()
     )
 
 
@@ -336,9 +313,6 @@ def compute_gradients(
             width = cfg.hidden_dim
             grad_h_modal[m] = grad_concat[:, offset : offset + width].copy()
             offset += width
-    elif cfg.variant == "full":
-        # h0 is the item table itself; fold its gradient in further down
-        pass
 
     # graph-structure path: mixture -> skip blend -> normalization -> cosine
     if cfg.uses_item_graph and not cache.frozen_graph:
@@ -442,7 +416,7 @@ def adam_step(
     """
     for name in sorted(grads):
         g = grads[name]
-        arr = params.get(name)
+        arr = params[name]
         slot = state.get(name)
         if slot is None:
             slot = AdamSlot(m=np.zeros_like(arr), v=np.zeros_like(arr))

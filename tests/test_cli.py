@@ -8,7 +8,7 @@ import pytest
 
 from lattice.cli import main
 from lattice.config import load_run_config, parse_config_text
-from lattice.data import write_features
+from lattice.data import load_interactions, write_features
 from lattice.errors import ConfigError
 from lattice.synthetic import write_clustered_dataset
 
@@ -392,6 +392,31 @@ class TestEvaluate:
         )
         assert code == 1
         assert "modalities" in capsys.readouterr().err
+
+    def test_feature_width_mismatch_rejected(self, workspace, trained, tmp_path, capsys):
+        # the checkpoint's transforms take 8 content columns; this config's file has 6
+        num_items = load_interactions(workspace / "interactions.tsv").num_items
+        write_features(tmp_path / "narrow.latf", np.ones((num_items, 6)))
+        narrow = BASE_CONFIG.replace(
+            '"features_content.latf"', f'"{tmp_path / "narrow.latf"}"'
+        )
+        other_cfg = workspace / "narrow_features.cfg"
+        other_cfg.write_text(narrow, encoding="utf-8")
+        code = main(
+            [
+                "evaluate",
+                "--config",
+                str(other_cfg),
+                "--out",
+                str(tmp_path / "er"),
+                "--checkpoint",
+                str(trained / "checkpoint.bin"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "transform_w.content" in err
 
 
 class TestSweep:

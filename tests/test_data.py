@@ -67,6 +67,12 @@ class TestLoadInteractions:
         with pytest.raises(DataFormatError, match="no interactions"):
             load_interactions(path)
 
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes("usu\u00e1rio\tlibro\n".encode("latin-1"))
+        with pytest.raises(DataFormatError, match="cannot read interactions"):
+            load_interactions(path)
+
     def test_unicode_tokens_roundtrip(self, tmp_path):
         path = write_tsv(tmp_path / "x.tsv", [("usuário", "libro"), ("б", "ч")])
         ds = load_interactions(path)

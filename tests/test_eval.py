@@ -238,9 +238,6 @@ class TestEvaluate:
         params = ParameterSet(
             user_emb=np.ones((1, 1)),
             item_emb=np.arange(10, dtype=np.float64)[:, None],
-            modalities=(),
-            transform_w={},
-            transform_b={},
         )
         valid_item = int(split.valid.pairs[0, 1])
         test_item = int(split.test.pairs[0, 1])
@@ -272,9 +269,6 @@ class TestEvaluate:
         params = ParameterSet(
             user_emb=np.ones((3, 2)),
             item_emb=np.ones((2, 2)),
-            modalities=(),
-            transform_w={},
-            transform_b={},
         )
         with pytest.raises(EvaluationError, match="no users"):
             evaluate(params, cfg, split, {}, "valid")
@@ -322,9 +316,6 @@ class TestEvaluate:
         params = ParameterSet(
             user_emb=user_emb,
             item_emb=np.eye(15),
-            modalities=(),
-            transform_w={},
-            transform_b={},
         )
         report = evaluate(params, cfg, split, {}, "valid", cutoffs=(1,))
         assert report.metrics[1]["recall"] == 1.0

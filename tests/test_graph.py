@@ -1,5 +1,8 @@
 """Graph construction against a dense brute-force oracle plus edge cases."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lattice.data import ModalityFeatures, make_dataset
+from lattice.errors import DataFormatError
 from lattice.graph import (
     SparseGraph,
     aggregate_modalities,
@@ -486,6 +490,40 @@ class TestGraphDump:
         import json
 
         assert json.loads(open(js).read())["k"] == 3
+
+    def test_bad_field_reports_line(self, tmp_path):
+        path = tmp_path / "graph.tsv"
+        for bad in ("0\t1\theavy", "0\tone\t0.5", "-1\t1\t0.5", f"{2**63}\t1\t0.5"):
+            path.write_text(f"src\tdst\tweight\n0\t0\t1.0\n{bad}\n", encoding="utf-8")
+            with pytest.raises(DataFormatError, match="line 3"):
+                read_graph_dump(path)
+
+    @pytest.mark.parametrize("failure", [".tsv", ".json", "unencodable meta"])
+    def test_failed_rewrite_keeps_previous_dump(self, tmp_path, rng, monkeypatch, failure):
+        paths = write_graph_dump(
+            build_initial_graph(rng.standard_normal((8, 3)), 3), tmp_path / "graph", {"k": 3}
+        )
+        previous = [Path(p).read_bytes() for p in paths]
+        meta = {"k": 2}
+        if failure.startswith("."):
+            real_replace = os.replace
+
+            def crash_on_target(src, dst):
+                if str(dst).endswith(failure):
+                    raise OSError("simulated crash before rename")
+                real_replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", crash_on_target)
+        else:
+            meta = {"k": object()}
+        with pytest.raises((OSError, TypeError)):
+            write_graph_dump(
+                build_initial_graph(rng.standard_normal((8, 3)), 2), tmp_path / "graph", meta
+            )
+        kept = [Path(p).read_bytes() == old for p, old in zip(paths, previous)]
+        # each file is replaced on its own: the edges land before a failed sidecar rename
+        assert kept == [failure != ".json", True]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.json", "graph.tsv"]
 
 
 # ---------------------------------------------------------------------------

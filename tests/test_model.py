@@ -1,6 +1,8 @@
 """Forward pass: propagation, backends, enhancement, scoring, checkpoints."""
 
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from lattice.graph import SparseGraph, aggregate_modalities
 from lattice.model import (
     ModelConfig,
     ModelInputs,
+    ParameterSet,
     build_inputs,
     cf_forward,
     enhance_items,
@@ -294,6 +297,15 @@ class TestForwardVariants:
         np.testing.assert_allclose(out.enhanced_items, params.item_emb + add, atol=1e-8)
 
 
+def edited_header(blob: bytes, edit) -> bytes:
+    """A checkpoint's bytes with edit applied to its decoded JSON header."""
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12 : 12 + header_len])
+    edit(header)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + header_len :]
+
+
 class TestCheckpoints:
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
         cfg, _, params, _ = tiny_instance("full", "mf")
@@ -301,7 +313,7 @@ class TestCheckpoints:
         save_checkpoint(path, cfg, params)
         previous = path.read_bytes()
         # the logits block cannot be cast to float32, after earlier blocks are written
-        broken = dataclasses.replace(params, logits=np.array(["x"], dtype=object))
+        broken = ParameterSet(params, modality_logits=np.array(["x"], dtype=object))
         with pytest.raises(ValueError):
             save_checkpoint(path, cfg, broken)
         assert path.read_bytes() == previous
@@ -357,8 +369,45 @@ class TestCheckpoints:
         cfg, _, params, _ = tiny_instance("base", "mf")
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, cfg, params)
-        blob = bytearray(path.read_bytes())
+        valid = path.read_bytes()
+        blob = bytearray(valid)
         blob[12] ^= 0xFF  # first header byte
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+        def user_rows(rows):
+            # the header's user count agrees, so only the shape check can object
+            def edit(header):
+                header["num_users"] = rows
+                header["parameters"][0]["shape"] = [rows, 8]
+
+            return edit
+
+        def huge_but_empty(header):
+            header["config"]["embed_dim"] = 2**62
+            header["num_users"] = header["num_items"] = 0
+            for entry in header["parameters"]:
+                entry["shape"] = [0, 2**62]
+
+        bad_entries = [
+            user_rows("4"),
+            user_rows(4.0),
+            user_rows(-4),
+            lambda h: h["parameters"][0].update(shape=32),  # not a list
+            lambda h: h["parameters"][0].pop("name"),
+            huge_but_empty,
+        ]
+        for edit in bad_entries:
+            path.write_bytes(edited_header(valid, edit))
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+
+    def test_full_checkpoint_without_logits_rejected(self, tmp_path):
+        cfg, _, params, _ = tiny_instance("full", "mf")
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, cfg, ParameterSet(
+            (name, arr) for name, arr in params.items() if name != "modality_logits"
+        ))
+        with pytest.raises(CheckpointError, match="modality_logits"):
             load_checkpoint(path)

@@ -12,7 +12,7 @@ from conftest import (
 )
 from lattice.data import make_dataset, split_warm
 from lattice.evaluation import EvalReport, evaluate
-from lattice.model import BACKENDS, VARIANTS, ModelConfig
+from lattice.model import BACKENDS, VARIANTS, ModelConfig, parameter_shapes
 from lattice.synthetic import clustered_dataset
 from lattice.training import (
     TrainConfig,
@@ -67,6 +67,16 @@ class TestInitParameters:
         assert np.all(params.transform_b["img"] == 0.0)
         assert np.all(params.logits == 0.0)
         assert params.projection.shape == (4, 6)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_arrays_follow_parameter_shapes(self, variant):
+        cfg = ModelConfig(backend="mf", variant=variant, embed_dim=6, hidden_dim=4)
+        dims = {"txt": 2, "img": 7}
+        params = init_parameters(cfg, 3, 5, dims, np.random.default_rng(0))
+        shapes = parameter_shapes(cfg, 3, 5, dims)
+        assert params.names() == list(shapes)
+        assert [arr.shape for arr in params.values()] == list(shapes.values())
+        assert all(arr.dtype == np.float64 for arr in params.values())
 
     def test_tables_shared_across_variants_with_same_seed(self):
         full = ModelConfig(backend="mf", variant="full", embed_dim=8, hidden_dim=4)
