@@ -33,7 +33,6 @@ from .graph import (
     SparseGraph,
     aggregate_modalities,
     build_initial_graph,
-    cosine_similarity_row,
     fuse_skip,
     normalize_sym,
     topk_sparsify,
@@ -45,7 +44,6 @@ from .model import (
     ModelInputs,
     ParameterSet,
     build_inputs,
-    enhance_items,
     forward,
     load_checkpoint,
     parameter_shapes,

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import Field, dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .model import BACKENDS, VARIANTS, ModelConfig
+from .model import ModelConfig, check_setting, setting
 from .training import TrainConfig
 
 DIGEST_CHARS = 12
@@ -22,28 +22,23 @@ DIGEST_CHARS = 12
 _REQUIRED = object()
 
 
-def _expect(kind, predicate=None, what=""):
+def _expect_path(key, value):
+    if not isinstance(value, str):
+        raise ConfigError(f"{key}: expected a path string, got {value!r}")
+    return value
+
+
+def _expect_setting(f: Field) -> tuple:
+    """A setting's (default, check); float settings store floats, so 1 and 1.0 share a digest."""
+
     def check(key, value):
-        if isinstance(value, bool):
-            raise ConfigError(f"{key}: expected {what or kind.__name__}, got {value!r}")
-        if kind is float and isinstance(value, int):
-            value = float(value)
-        if not isinstance(value, kind):
-            raise ConfigError(f"{key}: expected {what or kind.__name__}, got {value!r}")
-        if predicate is not None and not predicate(value):
-            raise ConfigError(f"{key}: invalid value {value!r}")
-        return value
+        try:
+            check_setting(key, f, value)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        return float(value) if isinstance(f.default, float) else value
 
-    return check
-
-
-def _expect_choice(*choices):
-    def check(key, value):
-        if value not in choices:
-            raise ConfigError(f"{key}: expected one of {choices}, got {value!r}")
-        return value
-
-    return check
+    return f.default, check
 
 
 def _expect_features(key, value):
@@ -68,28 +63,15 @@ def _expect_cutoffs(key, value):
     deduped = list(dict.fromkeys(value))
     return deduped
 
+
 SCHEMA = {
-    "interactions": (_REQUIRED, _expect(str, what="a path string")),
+    "interactions": (_REQUIRED, _expect_path),
     "features": (_REQUIRED, _expect_features),
-    "out_dir": (_REQUIRED, _expect(str, what="a path string")),
-    "split_mode": ("warm", _expect_choice("warm", "cold")),
-    "split_seed": (0, _expect(int, lambda v: v >= 0)),
-    "item_fraction": (0.2, _expect(float, lambda v: 0.0 < v < 1.0)),
-    "backend": ("mf", _expect_choice(*BACKENDS)),
-    "variant": ("full", _expect_choice(*VARIANTS)),
-    "embed_dim": (64, _expect(int, lambda v: v >= 1)),
-    "hidden_dim": (64, _expect(int, lambda v: v >= 1)),
-    "k": (10, _expect(int, lambda v: v >= 0)),
-    "fuse_lambda": (0.5, _expect(float, lambda v: 0.0 <= v <= 1.0)),
-    "item_layers": (1, _expect(int, lambda v: 0 <= v <= 4)),
-    "cf_layers": (3, _expect(int, lambda v: v >= 0)),
-    "learning_rate": (1e-3, _expect(float, lambda v: v > 0)),
-    "l2_coeff": (1e-4, _expect(float, lambda v: v >= 0)),
-    "batch_size": (1024, _expect(int, lambda v: v >= 1)),
-    "max_epochs": (100, _expect(int, lambda v: v >= 1)),
-    "patience": (10, _expect(int, lambda v: v >= 1)),
-    "seed": (0, _expect(int, lambda v: v >= 0)),
-    "graph_refresh": ("per_batch", _expect_choice("per_batch", "per_epoch")),
+    "out_dir": (_REQUIRED, _expect_path),
+    "split_mode": _expect_setting(setting("warm", ("warm", "cold"))),
+    "split_seed": _expect_setting(setting(0, lambda v: v >= 0)),
+    "item_fraction": _expect_setting(setting(0.2, lambda v: 0.0 < v < 1.0)),
+    **{f.name: _expect_setting(f) for cls in (ModelConfig, TrainConfig) for f in fields(cls)},
     "cutoffs": ([20], _expect_cutoffs),
 }
 
@@ -174,13 +156,7 @@ def parse_config_text(text: str, base_dir, source: str = "<config>") -> RunConfi
             raise ConfigError(f"{source}: missing required key {key!r}")
         else:
             values[key] = default
-    cfg = RunConfig(values=values, base_dir=Path(base_dir))
-    try:
-        cfg.model_config()
-        cfg.train_config()
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
-    return cfg
+    return RunConfig(values=values, base_dir=Path(base_dir))
 
 
 def load_run_config(path) -> RunConfig:

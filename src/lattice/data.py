@@ -348,7 +348,10 @@ def load_features(path, num_items: int, modality_id: str) -> ModalityFeatures:
         raise DataFormatError(
             f"{path}: {rows} feature rows for {num_items} items"
         )
-    mat = np.frombuffer(blob, dtype="<f4", offset=header_len).reshape(rows, cols)
+    try:
+        mat = np.frombuffer(blob, dtype="<f4", offset=header_len).reshape(rows, cols)
+    except ValueError as exc:  # an empty payload of more columns than numpy can shape
+        raise DataFormatError(f"{path}: cannot shape {rows} x {cols} features: {exc}") from exc
     if not np.all(np.isfinite(mat)):
         raise DataFormatError(f"{path}: non-finite feature values")
     return ModalityFeatures(modality_id=modality_id, matrix=mat.astype(np.float64))

@@ -182,18 +182,6 @@ def unit_rows(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unit, norms
 
 
-def cosine_similarity_row(features: np.ndarray, i: int) -> np.ndarray:
-    """Clamped cosine similarity of item i against every item.
-
-    Negative similarities clamp to 0; zero-norm rows yield 0 everywhere.
-    """
-    unit, _ = unit_rows(features)
-    if not 0 <= i < unit.shape[0]:
-        raise IndexError(f"row {i} out of range for {unit.shape[0]} items")
-    row = unit @ unit[i]
-    return np.maximum(row, 0.0)
-
-
 def iter_cosine_rows(
     features: np.ndarray, chunk_rows: int = DEFAULT_CHUNK_ROWS
 ) -> Iterator[np.ndarray]:

@@ -46,34 +46,47 @@ CHECKPOINT_MAGIC = b"LATC"
 CHECKPOINT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    """Architecture knobs; training hyperparameters live in TrainConfig."""
+def setting(default, valid):
+    """A config field that states its default and its valid values, once.
 
-    backend: str = "mf"
-    variant: str = "full"
-    embed_dim: int = 64
-    hidden_dim: int = 64
-    k: int = 10
-    fuse_lambda: float = 0.5
-    item_layers: int = 1
-    cf_layers: int = 3
+    valid is a tuple of the accepted values, or a predicate on values of the
+    default's type; an int counts as a float, a bool as neither.
+    """
+    return field(default=default, metadata={"valid": valid})
+
+
+def check_setting(name: str, f: dataclasses.Field, value) -> None:
+    """Raise ValueError naming the setting unless value is valid for field f."""
+    valid = f.metadata["valid"]
+    if isinstance(valid, tuple):
+        if value not in valid:
+            raise ValueError(f"{name}: expected one of {valid}, got {value!r}")
+        return
+    kinds = (int, float) if isinstance(f.default, float) else type(f.default)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not valid(value):
+        raise ValueError(f"{name}: invalid {type(f.default).__name__} value {value!r}")
+
+
+class Settings:
+    """Base of the config dataclasses: every field is checked at construction."""
 
     def __post_init__(self):
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.embed_dim < 1 or self.hidden_dim < 1:
-            raise ValueError("embedding dims must be positive")
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
-        if not 0.0 <= self.fuse_lambda <= 1.0:
-            raise ValueError("fuse_lambda must lie in [0, 1]")
-        if not 0 <= self.item_layers <= 4:
-            raise ValueError("item_layers must lie in [0, 4]")
-        if self.cf_layers < 0:
-            raise ValueError("cf_layers must be non-negative")
+        for f in dataclasses.fields(self):
+            check_setting(f.name, f, getattr(self, f.name))
+
+
+@dataclass(frozen=True)
+class ModelConfig(Settings):
+    """Architecture knobs; training hyperparameters live in TrainConfig."""
+
+    backend: str = setting("mf", BACKENDS)
+    variant: str = setting("full", VARIANTS)
+    embed_dim: int = setting(64, lambda v: v >= 1)
+    hidden_dim: int = setting(64, lambda v: v >= 1)
+    k: int = setting(10, lambda v: v >= 0)
+    fuse_lambda: float = setting(0.5, lambda v: 0.0 <= v <= 1.0)
+    item_layers: int = setting(1, lambda v: 0 <= v <= 4)
+    cf_layers: int = setting(3, lambda v: v >= 0)
 
     @property
     def uses_modal_features(self) -> bool:
@@ -174,10 +187,6 @@ class ModelInputs:
     features: dict
     initial_graphs: dict
     bipartite: SparseGraph | None
-
-    @property
-    def modalities(self) -> tuple:
-        return tuple(sorted(self.features))
 
 
 def build_inputs(
@@ -324,12 +333,6 @@ def propagate_item_graph(
     return hs
 
 
-def enhance_items(item_vecs: np.ndarray, propagated: np.ndarray) -> np.ndarray:
-    """Add the L2-normalized propagated vectors to the backend item vectors."""
-    add, _ = unit_rows(propagated)
-    return item_vecs + add
-
-
 def cf_forward(
     cfg: ModelConfig,
     params: ParameterSet,
@@ -422,11 +425,6 @@ def forward(
 ) -> ForwardOutput:
     out, _ = forward_pass(cfg, params, inputs, graphs, keep_cache=False)
     return out
-
-
-def score_matrix(user_vecs: np.ndarray, enhanced_items: np.ndarray) -> np.ndarray:
-    """Scores of every given user against every item."""
-    return user_vecs @ enhanced_items.T
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ this behaviour down.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, TextIO
@@ -30,9 +31,11 @@ from .model import (
     ModelConfig,
     ModelInputs,
     ParameterSet,
+    Settings,
     build_inputs,
     forward_pass,
     parameter_shapes,
+    setting,
 )
 
 ADAM_BETA1 = 0.9
@@ -43,28 +46,15 @@ VALIDATION_CUTOFF = 20
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 1e-3
-    l2_coeff: float = 1e-4
-    batch_size: int = 1024
-    max_epochs: int = 100
-    patience: int = 10
-    seed: int = 0
-    graph_refresh: str = "per_batch"
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.l2_coeff < 0:
-            raise ValueError("l2_coeff must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be positive")
-        if self.graph_refresh not in ("per_batch", "per_epoch"):
-            raise ValueError(f"unknown graph_refresh {self.graph_refresh!r}")
+class TrainConfig(Settings):
+    # bounded by the largest float: finite, and comparable with an int of any size
+    learning_rate: float = setting(1e-3, lambda v: 0.0 < v <= sys.float_info.max)
+    l2_coeff: float = setting(1e-4, lambda v: 0.0 <= v <= sys.float_info.max)
+    batch_size: int = setting(1024, lambda v: v >= 1)
+    max_epochs: int = setting(100, lambda v: v >= 1)
+    patience: int = setting(10, lambda v: v >= 1)
+    seed: int = setting(0, lambda v: v >= 0)
+    graph_refresh: str = setting("per_batch", ("per_batch", "per_epoch"))
 
 
 def xavier_init(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
@@ -247,8 +237,7 @@ def compute_gradients(
     users, pos, neg = _check_batch(batch, inputs.num_users, inputs.num_items)
     out, cache = forward_pass(cfg, params, inputs, graphs, keep_cache=True)
     pos_s, neg_s = _triple_scores(out, users, pos, neg)
-    delta = pos_s - neg_s
-    loss = float(np.mean(np.logaddexp(0.0, -delta)))
+    loss = bpr_loss(pos_s, neg_s)
     loss += l2_penalty(
         params.user_emb[users],
         params.item_emb[pos],
@@ -257,8 +246,8 @@ def compute_gradients(
     )
 
     n_triples = users.size
-    # d/d_delta of mean softplus(-delta), negated per score side below
-    coef = expit(-delta) / n_triples
+    # d loss / d neg_s per triple; d loss / d pos_s is its negation
+    coef = expit(neg_s - pos_s) / n_triples
 
     x_u = out.user_vecs[users]
     grad_user_out = np.zeros_like(out.user_vecs)

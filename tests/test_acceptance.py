@@ -34,7 +34,6 @@ from lattice.model import (
     build_inputs,
     build_item_graph,
     forward,
-    score_matrix,
 )
 from lattice.synthetic import clustered_dataset, write_clustered_dataset
 from lattice.training import (
@@ -176,8 +175,8 @@ def test_criterion_2_degeneracy(report):
         worst_score = max(
             worst_score,
             np.abs(
-                score_matrix(out_deg.user_vecs, out_deg.enhanced_items)
-                - score_matrix(out_pln.user_vecs, out_pln.enhanced_items)
+                out_deg.user_vecs @ out_deg.enhanced_items.T
+                - out_pln.user_vecs @ out_pln.enhanced_items.T
             ).max(),
         )
 

@@ -1,16 +1,23 @@
 """Config parsing and the prepare/train/evaluate/sweep command flows."""
 
 import json
+import math
 import os
+import re
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lattice.cli import main
-from lattice.config import load_run_config, parse_config_text
+from lattice.config import _REQUIRED, SCHEMA, load_run_config, parse_config_text
 from lattice.data import load_interactions, write_features
 from lattice.errors import ConfigError
+from lattice.model import VARIANTS, ModelConfig
 from lattice.synthetic import write_clustered_dataset
+from lattice.training import TrainConfig
 
 BASE_CONFIG = """\
 # two content clusters, small enough for fast end-to-end runs
@@ -161,6 +168,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown config key"):
             cfg.with_values(frobnication=3)
 
+    def test_readme_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        table = readme.split("## Config keys\n", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| (.+?) \|", table, flags=re.MULTILINE)
+        assert rows == [
+            (key, "required" if default is _REQUIRED else f"`{json.dumps(default)}`")
+            for key, (default, _) in SCHEMA.items()
+        ]
+
     def test_load_checks_referenced_files(self, workspace, tmp_path):
         missing = tmp_path / "missing.cfg"
         missing.write_text(BASE_CONFIG, encoding="utf-8")  # data lives elsewhere
@@ -168,6 +184,57 @@ class TestConfigParsing:
             load_run_config(missing)
         good = load_run_config(workspace / "run.cfg")
         assert good.interactions_path.is_file()
+
+
+REQUIRED_KEYS = 'interactions = "a.tsv"\nfeatures = {"i": "b"}\nout_dir = "o"\n'
+
+# Per model or training key: values on the inside of each bound, and values
+# just outside a bound or of a type the key does not take.
+SETTING_BOUNDS = {
+    "backend": (["mf", "lightgcn"], ["gcn", None]),
+    "variant": (list(VARIANTS), ["plain", 1]),
+    "embed_dim": ([1], [0, 1.0, True]),
+    "hidden_dim": ([1], [0, 2.5]),
+    "k": ([0], [-1, 1.0, True]),
+    "fuse_lambda": ([0, 0.0, 1, 1.0], [-1e-4, 1.0001, True, "0.5", math.nan]),
+    "item_layers": ([0, 4], [-1, 5]),
+    "cf_layers": ([0], [-1]),
+    "learning_rate": ([5e-324, 1, sys.float_info.max], [0, 0.0, -1e-3, math.inf, 10**400]),
+    "l2_coeff": ([0, sys.float_info.max], [-5e-324, math.inf, math.nan]),
+    "batch_size": ([1], [0]),
+    "max_epochs": ([1], [0]),
+    "patience": ([1], [0]),
+    "seed": ([0], [-1]),
+    "graph_refresh": (["per_batch", "per_epoch"], ["per_step"]),
+}
+
+SETTING_FIELDS = {f.name: (cls, f) for cls in (ModelConfig, TrainConfig) for f in fields(cls)}
+
+
+def test_every_setting_key_has_bounds_under_test():
+    assert sorted(SETTING_BOUNDS) == sorted(set(SETTING_FIELDS) & set(SCHEMA))
+
+
+@pytest.mark.parametrize("key", sorted(SETTING_BOUNDS))
+def test_setting_default_and_bounds_agree_everywhere(key, tmp_path):
+    cls, field = SETTING_FIELDS[key]
+    base = parse_config_text(REQUIRED_KEYS, tmp_path)
+    assert SCHEMA[key][0] == field.default
+    assert base[key] == field.default
+    accepted, rejected = SETTING_BOUNDS[key]
+    for value in accepted:
+        cls(**{key: value})
+        parsed = parse_config_text(REQUIRED_KEYS + f"{key} = {json.dumps(value)}", tmp_path)
+        assert parsed[key] == value
+        assert type(parsed[key]) is type(field.default)
+        assert base.with_values(**{key: value})[key] == value
+    for value in rejected:
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            parse_config_text(REQUIRED_KEYS + f"{key} = {json.dumps(value)}", tmp_path)
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            base.with_values(**{key: value})
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            cls(**{key: value})
 
 
 class TestPrepare:
@@ -264,6 +331,17 @@ class TestTrain:
         code = main(["train", "--config", str(cfg_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1e400", "1" + "0" * 400], ids=["exponent", "digits"])
+    @pytest.mark.parametrize("key", ["learning_rate", "l2_coeff", "fuse_lambda", "item_fraction"])
+    def test_beyond_float_range_reports_error(self, tmp_path, capsys, key, text):
+        lines = [ln for ln in BASE_CONFIG.splitlines() if not ln.startswith(key)]
+        cfg_path = tmp_path / "r.cfg"
+        cfg_path.write_text("\n".join(lines + [f"{key} = {text}"]) + "\n", encoding="utf-8")
+        code = main(["train", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
 
     def test_user_without_negatives_reports_error(self, tmp_path, capsys):
         # u0 holds all 4 items; the warm split holds out floor(0.1 * 4) = 0
@@ -458,6 +536,20 @@ class TestSweep:
         row = lines[2].split("\t")
         report3 = json.loads((out / "sweep_k" / "3" / "report_test.json").read_text())
         assert float(row[1]) == report3["metrics"]["5"]["recall"]
+
+    def test_reloaded_point_checkpoint_reproduces_its_report(self, workspace, tmp_path):
+        out = tmp_path / "sw"
+        config = str(workspace / "run.cfg")
+        assert main(["sweep", "--config", config, "--out", str(out), "--axis", "k",
+                     "--values", "3"]) == 0
+        point = out / "sweep_k" / "3"
+        # the config's own k is 3, so its model config is the point's
+        assert main(["evaluate", "--config", config, "--out", str(tmp_path / "ev"),
+                     "--checkpoint", str(point / "checkpoint.bin")]) == 0
+        reloaded = json.loads((tmp_path / "ev" / "report_test.json").read_text())
+        in_memory = json.loads((point / "report_test.json").read_text())
+        assert reloaded["metrics"] == in_memory["metrics"]
+        assert reloaded["num_users_evaluated"] == in_memory["num_users_evaluated"]
 
     def test_lambda_axis(self, workspace, tmp_path):
         out = tmp_path / "sw"

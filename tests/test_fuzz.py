@@ -93,15 +93,17 @@ def test_corrupted_file_raises_only_format_error(kind, fuzz_path, data):
 
 @settings(max_examples=200, deadline=None)
 @given(rows=st.integers(0, 2**64 - 1), cols=st.integers(0, 2**64 - 1),
-       payload=st.binary(max_size=64))
-@example(rows=2**63, cols=0, payload=b"")  # an empty payload numpy cannot shape
+       payload=st.binary(max_size=64), num_items=st.sampled_from([FEATURE_ROWS, 0]))
+# empty payloads numpy cannot shape
+@example(rows=2**63, cols=0, payload=b"", num_items=FEATURE_ROWS)
+@example(rows=0, cols=2**63, payload=b"", num_items=0)
 def test_feature_header_with_any_shape_raises_only_format_error(
-    fuzz_path, rows, cols, payload
+    fuzz_path, rows, cols, payload, num_items
 ):
     blob = b"LATF" + (1).to_bytes(4, "little") + rows.to_bytes(8, "little")
     blob += cols.to_bytes(8, "little") + payload
     _loads_or_raises(
-        fuzz_path, blob, lambda p: load_features(p, FEATURE_ROWS, "img"),
+        fuzz_path, blob, lambda p: load_features(p, num_items, "img"),
         DataFormatError,
     )
 

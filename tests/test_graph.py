@@ -16,7 +16,6 @@ from lattice.graph import (
     SparseGraph,
     aggregate_modalities,
     build_initial_graph,
-    cosine_similarity_row,
     fuse_skip,
     iter_cosine_rows,
     knn_cosine_graph,
@@ -167,26 +166,31 @@ def test_values_at_matches_scipy_fancy_indexing(source_density, target_density):
 # cosine similarity
 
 
+def cosine_rows(features):
+    """The clamped cosine matrix as iter_cosine_rows yields it, one row per item."""
+    return np.vstack(list(iter_cosine_rows(features)))
+
+
 class TestCosine:
     def test_orthogonal_rows_score_zero(self):
         feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-        row = cosine_similarity_row(feats, 0)
+        row = cosine_rows(feats)[0]
         np.testing.assert_allclose(row, [1.0, 0.0], atol=1e-15)
 
     def test_known_angle(self):
         feats = np.array([[1.0, 1.0], [1.0, 0.0]])
-        row = cosine_similarity_row(feats, 0)
+        row = cosine_rows(feats)[0]
         assert row[1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
 
     def test_negative_similarity_clamps_to_zero(self):
         feats = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        row = cosine_similarity_row(feats, 0)
+        row = cosine_rows(feats)[0]
         assert row[1] == 0.0
 
     def test_zero_norm_row_guarded(self):
         feats = np.array([[0.0, 0.0], [1.0, 2.0]])
-        assert cosine_similarity_row(feats, 0).tolist() == [0.0, 0.0]
-        assert cosine_similarity_row(feats, 1)[0] == 0.0
+        assert cosine_rows(feats)[0].tolist() == [0.0, 0.0]
+        assert cosine_rows(feats)[1][0] == 0.0
 
     def test_chunked_rows_match_dense(self, rng):
         feats = rng.standard_normal((23, 7))

@@ -12,21 +12,21 @@ from conftest import tiny_instance
 from lattice.data import make_dataset
 import lattice.model
 from lattice.errors import CheckpointError
+from lattice.evaluation import rank_items
 from lattice.graph import SparseGraph, aggregate_modalities
 from lattice.model import (
+    ForwardOutput,
     ModelConfig,
     ModelInputs,
     ParameterSet,
     build_inputs,
     cf_forward,
-    enhance_items,
     forward,
     load_checkpoint,
     propagate_item_graph,
     save_checkpoint,
-    score_matrix,
 )
-from lattice.training import TrainConfig, compute_gradients, init_parameters
+from lattice.training import TrainConfig, _triple_scores, compute_gradients, init_parameters
 
 
 def graph_from_dense(matrix):
@@ -139,17 +139,42 @@ class TestBackends:
             cf_forward(cfg, params, stripped)
 
 
+def enhanced_items(items, propagated):
+    """forward's enhanced items when the enhancement source is exactly propagated.
+
+    feats_side_info with one modality, identity transform and projection and
+    zero bias feeds the features through unchanged, so forward adds the unit
+    rows of propagated to the mf item table.
+    """
+    num_items, dim = items.shape
+    cfg = ModelConfig(variant="feats_side_info", embed_dim=dim, hidden_dim=dim)
+    params = ParameterSet(
+        user_emb=np.zeros((1, dim)),
+        item_emb=items,
+        **{"transform_w.m": np.eye(dim), "transform_b.m": np.zeros(dim)},
+        projection=np.eye(dim),
+    )
+    inputs = ModelInputs(
+        num_users=1,
+        num_items=num_items,
+        features={"m": propagated},
+        initial_graphs={},
+        bipartite=None,
+    )
+    return forward(cfg, params, inputs).enhanced_items
+
+
 class TestEnhancement:
     def test_unit_direction_added(self):
         items = np.zeros((1, 2))
         propagated = np.array([[3.0, 4.0]])
-        out = enhance_items(items, propagated)
+        out = enhanced_items(items, propagated)
         np.testing.assert_allclose(out, [[0.6, 0.8]], atol=1e-12)
 
     def test_zero_row_adds_nothing(self):
         items = np.array([[1.0, 2.0], [3.0, 4.0]])
         propagated = np.array([[0.0, 0.0], [5.0, 0.0]])
-        out = enhance_items(items, propagated)
+        out = enhanced_items(items, propagated)
         np.testing.assert_array_equal(out[0], items[0])
         np.testing.assert_allclose(out[1], [4.0, 4.0], atol=1e-12)
 
@@ -157,30 +182,38 @@ class TestEnhancement:
         items = rng.standard_normal((10, 4))
         propagated = rng.standard_normal((10, 4))
         propagated[3] = 0.0
-        out = enhance_items(items, propagated)
+        out = enhanced_items(items, propagated)
         norms = np.linalg.norm(out - items, axis=1)
         np.testing.assert_allclose(np.delete(norms, 3), 1.0, atol=1e-12)
         assert norms[3] == 0.0
 
 
+def triple_score(user_vecs, enhanced, u, i):
+    """Training's score of user u for item i, as the positive of one triple."""
+    out = ForwardOutput(user_vecs, enhanced, enhanced)
+    pos_s, _ = _triple_scores(out, np.array([u]), np.array([i]), np.array([i]))
+    return pos_s[0]
+
+
 class TestScoring:
     def test_orthogonal_scores_zero(self):
-        assert score_matrix(np.array([[1.0, 0.0]]), np.array([[0.0, 5.0]])) == 0.0
+        assert triple_score(np.array([[1.0, 0.0]]), np.array([[0.0, 5.0]]), 0, 0) == 0.0
 
     def test_known_inner_product(self):
-        assert score_matrix(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])) == 11.0
+        assert triple_score(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]), 0, 0) == 11.0
 
     def test_matrix_matches_pairwise_loop(self, rng):
         users = rng.standard_normal((4, 6))
         items = rng.standard_normal((9, 6))
-        mat = score_matrix(users, items)
         for u in range(4):
             for i in range(9):
-                assert mat[u, i] == pytest.approx(np.dot(users[u], items[i]), abs=1e-12)
+                assert triple_score(users, items, u, i) == pytest.approx(
+                    np.dot(users[u], items[i]), abs=1e-12
+                )
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            score_matrix(np.ones((1, 3)), np.ones((1, 4)))
+            rank_items(np.ones(3), np.ones((1, 4)), [])
 
 
 class TestForwardVariants:
@@ -188,7 +221,7 @@ class TestForwardVariants:
         cfg, inputs, params, _ = tiny_instance("base", "mf")
         out = forward(cfg, params, inputs)
         expected = params.user_emb @ params.item_emb.T
-        got = score_matrix(out.user_vecs, out.enhanced_items)
+        got = out.user_vecs @ out.enhanced_items.T
         np.testing.assert_allclose(got, expected, atol=0)
 
     @pytest.mark.parametrize("backend", ["mf", "lightgcn"])
@@ -397,6 +430,8 @@ class TestCheckpoints:
             lambda h: h["parameters"][0].update(shape=32),  # not a list
             lambda h: h["parameters"][0].pop("name"),
             huge_but_empty,
+            lambda h: h["config"].update(k=True),  # config values meet the field checks
+            lambda h: h["config"].update(fuse_lambda=2),
         ]
         for edit in bad_entries:
             path.write_bytes(edited_header(valid, edit))
