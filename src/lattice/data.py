@@ -52,10 +52,11 @@ class InteractionDataset:
 
 
 def _positives_per_user(num_users: int, pairs: np.ndarray) -> tuple:
-    buckets: list[list[int]] = [[] for _ in range(num_users)]
-    for u, i in pairs:
-        buckets[int(u)].append(int(i))
-    return tuple(np.array(sorted(b), dtype=np.int64) for b in buckets)
+    """Each user's items in ascending order, one int64 array per user id."""
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    items = pairs[order, 1]
+    bounds = np.searchsorted(pairs[order, 0], np.arange(num_users + 1))
+    return tuple(items[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
 
 
 def make_dataset(
@@ -187,24 +188,22 @@ def split_warm(ds: InteractionDataset, seed: int) -> Split:
     fewer than 3 positives keep everything in train.
     """
     rng = np.random.default_rng(seed)
-    train_rows, valid_rows, test_rows = [], [], []
-    for u in range(ds.num_users):
-        items = ds.user_positives[u]
-        n = items.size
-        if n < MIN_POSITIVES_FOR_HOLDOUT:
-            train_rows.extend((u, int(i)) for i in items)
-            continue
-        shuffled = rng.permutation(items)
-        n_hold = int(np.floor(WARM_HOLDOUT_FRACTION * n))
-        valid_rows.extend((u, int(i)) for i in shuffled[:n_hold])
-        test_rows.extend((u, int(i)) for i in shuffled[n_hold : 2 * n_hold])
-        train_rows.extend((u, int(i)) for i in shuffled[2 * n_hold :])
+    counts = np.array([items.size for items in ds.user_positives], dtype=np.int64)
+    holds = counts >= MIN_POSITIVES_FOR_HOLDOUT
+    # one permutation per holding user, drawn in user order
+    shuffled = [rng.permutation(p) if h else p for p, h in zip(ds.user_positives, holds)]
+    users = np.repeat(np.arange(ds.num_users, dtype=np.int64), counts)
+    rows = np.column_stack([users, np.concatenate([np.empty(0, np.int64), *shuffled])])
+    # each pair's position among its user's shuffled items, and that user's
+    # hold-out size
+    rank = np.arange(users.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    n_hold = np.where(holds, np.floor(WARM_HOLDOUT_FRACTION * counts), 0).astype(np.int64)[users]
     return Split(
         mode="warm",
         seed=seed,
-        train=_subset(ds, np.asarray(train_rows, dtype=np.int64).reshape(-1, 2)),
-        valid=_subset(ds, np.asarray(valid_rows, dtype=np.int64).reshape(-1, 2)),
-        test=_subset(ds, np.asarray(test_rows, dtype=np.int64).reshape(-1, 2)),
+        train=_subset(ds, rows[rank >= 2 * n_hold]),
+        valid=_subset(ds, rows[rank < n_hold]),
+        test=_subset(ds, rows[(rank >= n_hold) & (rank < 2 * n_hold)]),
     )
 
 

@@ -44,22 +44,39 @@ def rank_items(
 
 
 def _hit_positions(ranked: np.ndarray, relevant: set, k: int) -> np.ndarray:
+    """1-based positions of the relevant items among the first k ranked."""
     top = ranked[:k]
-    return np.flatnonzero(np.fromiter((int(i) in relevant for i in top), bool, top.size))
+    hits = np.fromiter((int(i) in relevant for i in top), bool, top.size)
+    return np.flatnonzero(hits) + 1
+
+
+def _metrics_at(hits: np.ndarray, num_relevant: int, k: int) -> dict:
+    """Recall, precision and nDCG at k from sorted 1-based hit positions.
+
+    hits may run past k (the positions found up to a larger cutoff); only
+    those up to k count.  The one definition of the three metrics.
+    """
+    if num_relevant == 0:
+        raise ValueError("relevant set must be non-empty")
+    positions = hits[: np.searchsorted(hits, k, side="right")]
+    dcg = float(np.sum(1.0 / np.log2(positions + 1.0)))
+    ideal = np.arange(1, min(k, num_relevant) + 1)
+    idcg = float(np.sum(1.0 / np.log2(ideal + 1.0)))
+    return {
+        "recall": positions.size / num_relevant,
+        "precision": positions.size / k,
+        "ndcg": dcg / idcg,
+    }
 
 
 def recall_at_k(ranked: np.ndarray, relevant: set, k: int) -> float:
     """Fraction of the relevant items appearing in the top k."""
-    if not relevant:
-        raise ValueError("relevant set must be non-empty")
-    return _hit_positions(ranked, relevant, k).size / len(relevant)
+    return _metrics_at(_hit_positions(ranked, relevant, k), len(relevant), k)["recall"]
 
 
 def precision_at_k(ranked: np.ndarray, relevant: set, k: int) -> float:
     """Fraction of the top k that is relevant."""
-    if not relevant:
-        raise ValueError("relevant set must be non-empty")
-    return _hit_positions(ranked, relevant, k).size / k
+    return _metrics_at(_hit_positions(ranked, relevant, k), len(relevant), k)["precision"]
 
 
 def ndcg_at_k(ranked: np.ndarray, relevant: set, k: int) -> float:
@@ -68,14 +85,7 @@ def ndcg_at_k(ranked: np.ndarray, relevant: set, k: int) -> float:
     Binary relevance: a hit at 1-based position p earns 1 / log2(p + 1); the
     ideal places min(k, |relevant|) hits first.
     """
-    if not relevant:
-        raise ValueError("relevant set must be non-empty")
-    positions = _hit_positions(ranked, relevant, k) + 1
-    dcg = float(np.sum(1.0 / np.log2(positions + 1.0)))
-    ideal_hits = min(k, len(relevant))
-    ideal = np.arange(1, ideal_hits + 1)
-    idcg = float(np.sum(1.0 / np.log2(ideal + 1.0)))
-    return dcg / idcg
+    return _metrics_at(_hit_positions(ranked, relevant, k), len(relevant), k)["ndcg"]
 
 
 @dataclass(frozen=True)
@@ -124,6 +134,7 @@ def evaluate(
     out = forward(cfg, params, inputs)
 
     totals = {c: {"recall": 0.0, "precision": 0.0, "ndcg": 0.0} for c in cutoffs}
+    depth = max(cutoffs)
     evaluated = 0
     for u in range(part.num_users):
         held = part.user_positives[u]
@@ -135,10 +146,10 @@ def evaluate(
             excluded = np.concatenate([excluded, split.valid.user_positives[u]])
         ranked = rank_items(out.user_vecs[u], out.enhanced_items, excluded)
         evaluated += 1
+        hits = _hit_positions(ranked, relevant, depth)
         for c in cutoffs:
-            totals[c]["recall"] += recall_at_k(ranked, relevant, c)
-            totals[c]["precision"] += precision_at_k(ranked, relevant, c)
-            totals[c]["ndcg"] += ndcg_at_k(ranked, relevant, c)
+            for name, value in _metrics_at(hits, len(relevant), c).items():
+                totals[c][name] += value
     if evaluated == 0:
         raise EvaluationError(f"no users hold positives in partition {partition!r}")
     metrics = {

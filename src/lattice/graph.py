@@ -6,11 +6,14 @@ same pipeline on linearly transformed features, gets blended with the frozen
 initial graph, and the per-modality results are mixed with softmax weights.
 
 Similarity matrices are never materialized densely; rows are produced in
-chunks and reduced to top-k immediately, so memory stays O(chunk * num_nodes)
-plus the O(num_nodes * k) result.  Each chunk is reduced with whole-block
-array calls: the k-th largest maximum over strided column groups bounds each
-row's k-th largest value from below, leaving a handful of candidates per row
-for the exact cut.
+blocks of at most about 8 MiB and reduced to top-k immediately, so memory
+stays that block plus the O(num_nodes * k) result.  The bound is in bytes,
+not rows: glibc serves allocations above its 32 MiB mmap threshold with a
+fresh mapping each time, so a block that large (256 rows at 19k items is
+37.7 MiB) would be page-faulted in anew for every block of every build.
+Each block is reduced with whole-block array calls: the k-th largest maximum
+over strided column groups bounds each row's k-th largest value from below,
+leaving a handful of candidates per row for the exact cut.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .errors import DataFormatError
 # Row norms below this are treated as zero (cosine guard, degree guard).
 NORM_EPS = 1e-12
 
-# Rows of the similarity matrix computed per chunk during graph builds.
-DEFAULT_CHUNK_ROWS = 256
+# Bytes of one similarity block during graph builds; see the module docstring.
+_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -183,14 +186,17 @@ def unit_rows(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def iter_cosine_rows(
-    features: np.ndarray, chunk_rows: int = DEFAULT_CHUNK_ROWS
+    features: np.ndarray, chunk_rows: int | None = None
 ) -> Iterator[np.ndarray]:
     """Yield blocks of the clamped cosine matrix, chunk_rows rows at a time.
 
-    Only one (chunk_rows x num_items) block is alive at a time.
+    By default a block holds as many rows as fit in _BLOCK_BYTES, and at
+    least one.  Only one (chunk_rows x num_items) block is alive at a time.
     """
     unit, _ = unit_rows(features)
     n = unit.shape[0]
+    if chunk_rows is None:
+        chunk_rows = max(1, _BLOCK_BYTES // (unit.itemsize * max(n, 1)))
     for start in range(0, n, chunk_rows):
         block = unit[start : start + chunk_rows] @ unit.T
         np.maximum(block, 0.0, out=block)

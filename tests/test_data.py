@@ -155,6 +155,62 @@ class TestWarmSplit:
         assert "cold_items" not in m
 
 
+def loop_positives(num_users, pairs):
+    """Each user's sorted items, bucketed pair by pair: the reference."""
+    buckets = [[] for _ in range(num_users)]
+    for u, i in pairs:
+        buckets[int(u)].append(int(i))
+    return [np.array(sorted(b), dtype=np.int64) for b in buckets]
+
+
+def loop_split_warm(ds, seed):
+    """The per-user, per-pair loop split_warm is defined by: the reference."""
+    rng = np.random.default_rng(seed)
+    parts = {"train": [], "valid": [], "test": []}
+    for u in range(ds.num_users):
+        items = ds.user_positives[u]
+        if items.size < 3:
+            parts["train"].extend((u, int(i)) for i in items)
+            continue
+        shuffled = rng.permutation(items)
+        n_hold = int(np.floor(0.1 * items.size))
+        parts["valid"].extend((u, int(i)) for i in shuffled[:n_hold])
+        parts["test"].extend((u, int(i)) for i in shuffled[n_hold : 2 * n_hold])
+        parts["train"].extend((u, int(i)) for i in shuffled[2 * n_hold :])
+    return {k: np.array(v, dtype=np.int64).reshape(-1, 2) for k, v in parts.items()}
+
+
+class TestAgainstLoops:
+    """The array-built positives and warm split against the loops they replaced."""
+
+    def datasets(self):
+        rng = np.random.default_rng(12)
+        for num_users, num_items, density in ((1, 1, 1.0), (7, 5, 0.0), (40, 60, 0.06), (25, 30, 0.6)):
+            mask = rng.random((num_users, num_items)) < density
+            mask[rng.random(num_users) < 0.3] = False  # users with no positives
+            pairs = np.argwhere(mask).astype(np.int64)
+            pairs = pairs[rng.permutation(len(pairs))]  # unsorted input order
+            yield make_dataset(num_users, num_items, pairs, require_nonempty_users=False)
+
+    def test_positives_per_user_match_loop(self):
+        for ds in self.datasets():
+            want = loop_positives(ds.num_users, ds.pairs)
+            assert len(ds.user_positives) == len(want)
+            for got, ref in zip(ds.user_positives, want):
+                assert got.dtype == np.int64
+                assert np.array_equal(got, ref)
+
+    def test_split_warm_matches_loop(self):
+        for ds in self.datasets():
+            for seed in (0, 3):
+                split = split_warm(ds, seed)
+                want = loop_split_warm(ds, seed)
+                for name in ("train", "valid", "test"):
+                    got = getattr(split, name).pairs
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, want[name])
+
+
 class TestColdSplit:
     def make(self, num_users=30, num_items=10, per_user=6, seed=1):
         rng = np.random.default_rng(seed)

@@ -305,6 +305,40 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="cutoff"):
             evaluate(result.params, result.model_cfg, split, {}, "valid", cutoffs=(0,))
 
+    def test_report_equals_a_loop_over_the_public_metrics(self):
+        # coarse embeddings tie many scores; each user's hits are found once
+        # up to the largest cutoff, and the report must be bitwise what the
+        # three public functions give cutoff by cutoff
+        from lattice.model import ParameterSet
+
+        rng = np.random.default_rng(5)
+        rows = [(u, int(i)) for u in range(12) for i in rng.choice(30, size=12, replace=False)]
+        split = split_warm(make_dataset(12, 30, np.array(rows, dtype=np.int64)), seed=2)
+        cfg = ModelConfig(backend="mf", variant="base", embed_dim=2)
+        params = ParameterSet(
+            user_emb=rng.integers(0, 2, (12, 2)).astype(np.float64),
+            item_emb=rng.integers(0, 3, (30, 2)) / 2.0,
+        )
+        cutoffs = (1, 3, 5, 20, 40)
+        for partition in ("valid", "test"):
+            report = evaluate(params, cfg, split, {}, partition, cutoffs=cutoffs)
+            part = split.valid if partition == "valid" else split.test
+            totals = {c: {"recall": 0.0, "precision": 0.0, "ndcg": 0.0} for c in cutoffs}
+            for u in range(12):
+                relevant = set(part.user_positives[u].tolist())
+                excluded = split.train.user_positives[u]
+                if partition == "test":
+                    excluded = np.concatenate([excluded, split.valid.user_positives[u]])
+                ranked = rank_items(params.user_emb[u], params.item_emb, excluded)
+                for c in cutoffs:
+                    totals[c]["recall"] += recall_at_k(ranked, relevant, c)
+                    totals[c]["precision"] += precision_at_k(ranked, relevant, c)
+                    totals[c]["ndcg"] += ndcg_at_k(ranked, relevant, c)
+            assert report.num_users_evaluated == 12
+            assert report.metrics == {
+                c: {name: v / 12 for name, v in totals[c].items()} for c in cutoffs
+            }
+
     def test_oracle_model_scores_perfect_recall(self):
         split = tiny_split()
         cfg = ModelConfig(backend="mf", variant="base", embed_dim=15)

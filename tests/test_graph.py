@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lattice import graph
 from lattice.data import ModalityFeatures, make_dataset
 from lattice.errors import DataFormatError
 from lattice.graph import (
@@ -292,6 +293,46 @@ def test_topk_matches_stable_argsort_reference(case):
     assert np.array_equal(got.indptr, indptr)
     assert np.array_equal(got.indices, indices)
     assert got.values.tobytes() == values.tobytes()
+
+
+class TestDefaultBlocks:
+    """Default blocks at a multi-block size: 5,000 items, 2-d features."""
+
+    n, k = 5000, 10
+
+    def features(self):
+        return np.random.default_rng(4).standard_normal((self.n, 2))
+
+    def test_blocks_stay_within_byte_budget_and_cover_rows(self):
+        sizes = [(b.shape, b.nbytes) for b in iter_cosine_rows(self.features())]
+        assert len(sizes) > 1
+        assert all(nbytes <= graph._BLOCK_BYTES for _, nbytes in sizes)
+        assert all(shape[1] == self.n for shape, _ in sizes)
+        assert sum(shape[0] for shape, _ in sizes) == self.n
+
+    def test_graph_matches_dense_oracle(self):
+        # the oracle forms each score as an explicit two-term sum, so its last
+        # bits may differ from the block products: the support may differ
+        # from the exact top k only where scores lie within 1e-12 of a row's
+        # k-th largest, which makes the tie order of the oracle moot
+        feats = self.features()
+        got = knn_cosine_graph(feats, self.k)
+        assert np.all(got.row_counts() == self.k)
+        got_cols = got.indices.reshape(self.n, self.k)
+        got_vals = got.values.reshape(self.n, self.k)
+        unit = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+        for start in range(0, self.n, 500):
+            rows = slice(start, start + 500)
+            u = unit[rows]
+            sim = np.outer(u[:, 0], unit[:, 0]) + np.outer(u[:, 1], unit[:, 1])
+            sim = np.maximum(sim, 0.0)
+            kth = np.partition(sim, self.n - self.k, axis=1)[:, self.n - self.k, None]
+            at_got = np.take_along_axis(sim, got_cols[rows], axis=1)
+            np.testing.assert_allclose(got_vals[rows], at_got, rtol=0, atol=1e-12)
+            assert np.all(at_got >= kth - 1e-12)
+            # every clearly-above-the-cut column is kept (kept columns are distinct)
+            clear = sim > kth + 1e-12
+            assert np.array_equal(clear.sum(axis=1), (at_got > kth + 1e-12).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from lattice.evaluation import EvalReport, evaluate
 from lattice.model import BACKENDS, VARIANTS, ModelConfig, parameter_shapes
 from lattice.synthetic import clustered_dataset
 from lattice.training import (
+    _EDGE_BLOCK,
+    _add_edge_products,
     TrainConfig,
     adam_step,
     bpr_loss,
@@ -249,6 +251,21 @@ class TestAnalyticGradients:
         assert "modality_logits" not in frozen
         assert not any(name.startswith("transform") for name in frozen)
         assert "user_emb" in frozen and "item_emb" in frozen
+
+
+@pytest.mark.parametrize("nnz", [0, 1, _EDGE_BLOCK, 3 * _EDGE_BLOCK + 17])
+def test_blocked_edge_products_match_unblocked_einsum(nnz):
+    # several full blocks, a partial last one, exactly one block, and no edges
+    rng = np.random.default_rng(nnz)
+    g = rng.standard_normal((300, 64))
+    h = rng.standard_normal((300, 64))
+    rows = rng.integers(0, 300, nnz)
+    cols = rng.integers(0, 300, nnz)
+    start = rng.standard_normal(nnz)
+    want = start + np.einsum("ed,ed->e", g[rows], h[cols])
+    got = start.copy()
+    _add_edge_products(got, g, h, rows, cols)
+    assert got.tobytes() == want.tobytes()
 
 
 def ladder_split(num_users=6, num_items=20, seed=0):
