@@ -8,6 +8,7 @@ External formats:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import struct
 from dataclasses import dataclass, field
@@ -51,12 +52,18 @@ class InteractionDataset:
         return [set(int(i) for i in items) for items in self.user_positives]
 
 
-def _positives_per_user(num_users: int, pairs: np.ndarray) -> tuple:
-    """Each user's items in ascending order, one int64 array per user id."""
+def _positives_per_user(num_users: int, pairs: np.ndarray) -> tuple[tuple, bool]:
+    """Each user's items in ascending order, one int64 array per user id.
+
+    Also says whether some user holds an item twice: equal neighbours
+    within one user's sorted items.
+    """
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    users = pairs[order, 0]
     items = pairs[order, 1]
-    bounds = np.searchsorted(pairs[order, 0], np.arange(num_users + 1))
-    return tuple(items[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+    repeated = bool(np.any((items[1:] == items[:-1]) & (users[1:] == users[:-1])))
+    bounds = np.searchsorted(users, np.arange(num_users + 1))
+    return tuple(items[a:b] for a, b in zip(bounds[:-1], bounds[1:])), repeated
 
 
 def make_dataset(
@@ -65,12 +72,12 @@ def make_dataset(
     pairs: np.ndarray,
     user_labels: Sequence[str] | None = None,
     item_labels: Sequence[str] | None = None,
-    require_nonempty_users: bool = True,
 ) -> InteractionDataset:
     """Validate raw pairs and build an InteractionDataset.
 
-    Split partitions set require_nonempty_users=False; a freshly loaded
-    dataset keeps the guarantee that every user has at least one positive.
+    Ids must be in range, pairs distinct, and every user must have at least
+    one positive.  Split partitions, which may leave a user without one, are
+    built from their checked source dataset instead.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if pairs.size:
@@ -78,11 +85,10 @@ def make_dataset(
             raise DataFormatError("user id out of range")
         if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= num_items:
             raise DataFormatError("item id out of range")
-    unique = np.unique(pairs, axis=0)
-    if unique.shape[0] != pairs.shape[0]:
+    positives, repeated = _positives_per_user(num_users, pairs)
+    if repeated:
         raise DataFormatError("duplicate user-item pairs")
-    positives = _positives_per_user(num_users, pairs)
-    if require_nonempty_users and any(p.size == 0 for p in positives):
+    if any(p.size == 0 for p in positives):
         raise DataFormatError("every user must have at least one interaction")
     return InteractionDataset(
         num_users=num_users,
@@ -170,14 +176,9 @@ class Split:
 
 
 def _subset(ds: InteractionDataset, pairs: np.ndarray) -> InteractionDataset:
-    return make_dataset(
-        ds.num_users,
-        ds.num_items,
-        pairs,
-        user_labels=ds.user_labels,
-        item_labels=ds.item_labels,
-        require_nonempty_users=False,
-    )
+    """The partition of a checked dataset holding some of its pairs."""
+    positives, _ = _positives_per_user(ds.num_users, pairs)
+    return dataclasses.replace(ds, pairs=pairs, user_positives=positives)
 
 
 def split_warm(ds: InteractionDataset, seed: int) -> Split:
@@ -308,17 +309,17 @@ def write_atomic(path, chunks: Iterable[bytes]) -> None:
 
 
 def write_features(path, matrix: np.ndarray) -> None:
-    """Serialize a feature matrix to the binary container (float32 payload)."""
+    """Serialize a feature matrix to the binary container (float32 payload).
+
+    Written atomically: path holds the previous file or the whole new one.
+    """
     mat = np.ascontiguousarray(matrix, dtype=np.float32)
     if mat.ndim != 2:
         raise ValueError("feature matrix must be 2-D")
     if not np.all(np.isfinite(mat)):
         raise ValueError("feature values must be finite")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<I", FEATURE_VERSION))
-        fh.write(struct.pack("<QQ", mat.shape[0], mat.shape[1]))
-        fh.write(mat.tobytes(order="C"))
+    header = FEATURE_MAGIC + struct.pack("<IQQ", FEATURE_VERSION, *mat.shape)
+    write_atomic(path, [header, mat.tobytes(order="C")])
 
 
 def load_features(path, num_items: int, modality_id: str) -> ModalityFeatures:

@@ -8,9 +8,11 @@ The forward pass has three stages:
   3. enhancement: each backend item vector plus the L2-normalized propagated
      vector.
 
-forward_pass records every intermediate needed by the hand-written backward
-pass in training, so analytic gradients and evaluation always share one code
-path.
+forward_pass is the one forward path: training and evaluation both run it.
+Beside the output it returns a ForwardCache holding exactly what the
+hand-written backward pass in training reads, and nothing else: the fused
+and mixed item graphs, a learned-graph record per modality whose graph was
+built, the propagation layers, and the enhancement normalization.
 """
 
 from __future__ import annotations
@@ -225,26 +227,22 @@ class GraphBundle:
 
 @dataclass
 class ForwardCache:
-    """Intermediates of one forward pass, consumed by the backward pass."""
+    """What the backward pass reads of one forward pass.
 
-    cfg: ModelConfig
-    inputs: ModelInputs
-    frozen_graph: bool = False
-    # per-modality graph build
-    h_modal: dict = field(default_factory=dict)
-    unit_modal: dict = field(default_factory=dict)
-    norms_modal: dict = field(default_factory=dict)
-    retained: dict = field(default_factory=dict)
+    learned[m] = (retained, unit, norms) for each modality whose learned graph
+    was built from the current parameters: the top-k cosine graph, and the
+    unit rows and row norms of the transformed features it was scored from.
+    A frozen graph, k = 0 and fuse_lambda = 1 build none.
+    """
+
+    learned: dict = field(default_factory=dict)
     fused: dict = field(default_factory=dict)
-    alpha: np.ndarray | None = None
     graph: SparseGraph | None = None
-    # propagation and enhancement
+    alpha: np.ndarray | None = None
     feat_concat: np.ndarray | None = None
     h_layers: list | None = None
-    enhance_norms: np.ndarray | None = None
     enhance_add: np.ndarray | None = None
-    # backend
-    z_layers: list | None = None
+    enhance_norms: np.ndarray | None = None
 
 
 @dataclass
@@ -256,18 +254,11 @@ class ForwardOutput:
     enhanced_items: np.ndarray
 
 
-def _transformed_features(
-    params: ParameterSet, inputs: ModelInputs, cache: ForwardCache | None
-) -> dict:
-    out = {}
-    for m in sorted(inputs.features):
-        h = transform_features(
-            inputs.features[m], params.transform_w[m], params.transform_b[m]
-        )
-        out[m] = h
-        if cache is not None:
-            cache.h_modal[m] = h
-    return out
+def _transformed_features(params: ParameterSet, inputs: ModelInputs) -> dict:
+    return {
+        m: transform_features(inputs.features[m], params.transform_w[m], params.transform_b[m])
+        for m in sorted(inputs.features)
+    }
 
 
 def build_item_graph(
@@ -279,41 +270,28 @@ def build_item_graph(
 ) -> tuple[SparseGraph, np.ndarray]:
     """Mix the per-modality fused graphs into one propagation matrix.
 
-    With k = 0 every per-modality graph is empty and so is the mix.  With
-    fuse_lambda = 1 the learned graph carries zero weight, so it is not
-    built, nor are the transformed features it would be built from: each
-    fused graph is the initial graph itself, as fuse_skip would return it.
-    Records build intermediates on cache when one is supplied.
+    The learned graph is built only when it carries weight: with k = 0 it
+    is empty, and with fuse_lambda = 1 it is scaled by zero.  In both cases
+    neither it nor the transformed features it would be built from are
+    computed, and each fused graph is the initial graph itself, as fuse_skip
+    would return it.  Records the fused graphs and the learned-graph
+    records on cache when one is supplied.
     """
-    if h_modal is None and cfg.fuse_lambda != 1.0:
-        h_modal = _transformed_features(params, inputs, cache)
+    learns = cfg.k > 0 and cfg.fuse_lambda != 1.0
+    if learns and h_modal is None:
+        h_modal = _transformed_features(params, inputs)
     fused_list = []
-    modalities = sorted(inputs.features)
-    for m in modalities:
-        initial = inputs.initial_graphs.get(m, SparseGraph.empty(inputs.num_items))
-        if cfg.fuse_lambda == 1.0:
-            fused = initial
-        else:
-            if cfg.k == 0:
-                retained = SparseGraph.empty(inputs.num_items)
-                unit = np.zeros_like(h_modal[m])
-                norms = np.zeros(inputs.num_items)
-            else:
-                unit, norms = unit_rows(h_modal[m])
-                retained = knn_cosine_graph(h_modal[m], cfg.k)
-            fused = fuse_skip(initial, normalize_sym(retained), cfg.fuse_lambda)
+    for m in sorted(inputs.features):
+        fused = inputs.initial_graphs.get(m, SparseGraph.empty(inputs.num_items))
+        if learns:
+            retained = knn_cosine_graph(h_modal[m], cfg.k)
+            fused = fuse_skip(fused, normalize_sym(retained), cfg.fuse_lambda)
             if cache is not None:
-                cache.unit_modal[m] = unit
-                cache.norms_modal[m] = norms
-                cache.retained[m] = retained
-        fused_list.append(fused)
+                cache.learned[m] = (retained, *unit_rows(h_modal[m]))
         if cache is not None:
             cache.fused[m] = fused
-    graph, alpha = aggregate_modalities(fused_list, params.logits)
-    if cache is not None:
-        cache.graph = graph
-        cache.alpha = alpha
-    return graph, alpha
+        fused_list.append(fused)
+    return aggregate_modalities(fused_list, params.logits)
 
 
 def propagate_item_graph(
@@ -334,31 +312,25 @@ def propagate_item_graph(
 
 
 def cf_forward(
-    cfg: ModelConfig,
-    params: ParameterSet,
-    inputs: ModelInputs,
-    cache: ForwardCache | None = None,
+    cfg: ModelConfig, params: ParameterSet, inputs: ModelInputs
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backend user and item vectors.
 
     mf returns the tables.  lightgcn stacks user and item tables, convolves
     cf_layers times over the normalized user-item graph, and averages all
-    layer outputs; cf_layers = 0 reduces to mf exactly.
+    layer outputs; cf_layers = 0 reduces to mf exactly.  Only the running
+    sum is kept, not the layers.
     """
     if cfg.backend == "mf":
         return params.user_emb, params.item_emb
     if inputs.bipartite is None:
         raise ValueError("lightgcn backend requires the user-item graph")
-    z0 = np.concatenate([params.user_emb, params.item_emb], axis=0)
-    zs = [z0]
+    z = np.concatenate([params.user_emb, params.item_emb], axis=0)
+    mean = z.copy()
     for _ in range(cfg.cf_layers):
-        zs.append(inputs.bipartite.matmul(zs[-1]))
-    if cache is not None:
-        cache.z_layers = zs
-    mean = zs[0].copy()
-    for z in zs[1:]:
+        z = inputs.bipartite.matmul(z)
         mean += z
-    mean /= len(zs)
+    mean /= cfg.cf_layers + 1
     return mean[: inputs.num_users], mean[inputs.num_users :]
 
 
@@ -367,54 +339,38 @@ def forward_pass(
     params: ParameterSet,
     inputs: ModelInputs,
     graphs: GraphBundle | None = None,
-    keep_cache: bool = True,
 ) -> tuple[ForwardOutput, ForwardCache]:
     """Full forward computation for any backend/variant combination.
 
     When graphs is supplied the item graph is taken as a constant instead of
     being rebuilt from the current parameters (per-epoch refresh mode).
     """
-    cache = ForwardCache(cfg=cfg, inputs=inputs)
-    user_vecs, item_vecs = cf_forward(cfg, params, inputs, cache if keep_cache else None)
-
+    cache = ForwardCache()
+    user_vecs, item_vecs = cf_forward(cfg, params, inputs)
     if cfg.variant == "base":
-        out = ForwardOutput(user_vecs, item_vecs, item_vecs)
-        return out, cache
+        return ForwardOutput(user_vecs, item_vecs, item_vecs), cache
 
     h_modal = None
     if cfg.uses_projection:
-        h_modal = _transformed_features(params, inputs, cache if keep_cache else None)
-        feat_concat = np.concatenate(
-            [h_modal[m] for m in sorted(inputs.features)], axis=1
-        )
-        cache.feat_concat = feat_concat
+        h_modal = _transformed_features(params, inputs)
+        cache.feat_concat = np.concatenate([h_modal[m] for m in sorted(h_modal)], axis=1)
 
     if cfg.uses_item_graph:
         if graphs is None:
-            graph, _ = build_item_graph(
-                cfg, params, inputs, cache if keep_cache else None, h_modal
-            )
+            cache.graph, cache.alpha = build_item_graph(cfg, params, inputs, cache, h_modal)
         else:
-            graph = graphs.graph
-            cache.graph = graph
-            cache.alpha = graphs.alpha
-            cache.frozen_graph = True
+            cache.graph, cache.alpha = graphs.graph, graphs.alpha
         if cfg.variant == "full":
             h0 = params.item_emb
         else:
             h0 = cache.feat_concat @ params.projection.T
-        h_layers = propagate_item_graph(graph, h0, cfg.item_layers)
-        cache.h_layers = h_layers
-        src = h_layers[-1]
+        cache.h_layers = propagate_item_graph(cache.graph, h0, cfg.item_layers)
+        src = cache.h_layers[-1]
     else:  # feats_side_info: project concatenated features, skip the graph
         src = cache.feat_concat @ params.projection.T
 
-    add, norms = unit_rows(src)
-    cache.enhance_norms = norms
-    cache.enhance_add = add
-    enhanced = item_vecs + add
-    out = ForwardOutput(user_vecs, item_vecs, enhanced)
-    return out, cache
+    cache.enhance_add, cache.enhance_norms = unit_rows(src)
+    return ForwardOutput(user_vecs, item_vecs, item_vecs + cache.enhance_add), cache
 
 
 def forward(
@@ -423,8 +379,7 @@ def forward(
     inputs: ModelInputs,
     graphs: GraphBundle | None = None,
 ) -> ForwardOutput:
-    out, _ = forward_pass(cfg, params, inputs, graphs, keep_cache=False)
-    return out
+    return forward_pass(cfg, params, inputs, graphs)[0]
 
 
 # ---------------------------------------------------------------------------

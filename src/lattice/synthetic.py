@@ -12,7 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import InteractionDataset, ModalityFeatures, make_dataset, write_features
+from .data import (
+    InteractionDataset,
+    ModalityFeatures,
+    make_dataset,
+    write_atomic,
+    write_features,
+)
 
 DEFAULT_MODALITY = "content"
 
@@ -82,29 +88,24 @@ def write_clustered_dataset(out_dir, **kwargs) -> tuple[Path, dict]:
 
     Loading a TSV assigns item ids by first appearance, so feature rows are
     written in that order; the reloaded dataset and features then line up.
+    Every file is written atomically.
     Returns the TSV path and a dict of modality -> feature path, ready to be
     referenced from a run config.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset, features = clustered_dataset(**kwargs)
-    tsv_path = out / "interactions.tsv"
-    with open(tsv_path, "w", encoding="utf-8") as fh:
-        for u, i in dataset.pairs:
-            fh.write(f"{dataset.user_labels[u]}\t{dataset.item_labels[i]}\n")
-    appearance = []
-    seen = set()
-    for i in dataset.pairs[:, 1]:
-        i = int(i)
-        if i not in seen:
-            seen.add(i)
-            appearance.append(i)
-    if len(appearance) != dataset.num_items:
+    _, first = np.unique(dataset.pairs[:, 1], return_index=True)
+    if first.size != dataset.num_items:
         raise ValueError(
             "some items never appear in the interactions; "
             "use at least items_per_cluster users per cluster"
         )
-    order = np.asarray(appearance, dtype=np.int64)
+    order = dataset.pairs[np.sort(first), 1]
+    tsv_path = out / "interactions.tsv"
+    users, items = dataset.user_labels, dataset.item_labels
+    text = "".join(f"{users[u]}\t{items[i]}\n" for u, i in dataset.pairs)
+    write_atomic(tsv_path, [text.encode("utf-8")])
     feature_paths = {}
     for m, feat in features.items():
         path = out / f"features_{m}.latf"

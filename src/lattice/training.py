@@ -137,6 +137,21 @@ def _triple_scores(
     return pos_s, neg_s
 
 
+def _objective(cfg, train_cfg, params, inputs, batch, graphs):
+    """The batch loss, with the forward pass, checked batch and scores it used."""
+    users, pos, neg = _check_batch(batch, inputs.num_users, inputs.num_items)
+    out, cache = forward_pass(cfg, params, inputs, graphs)
+    pos_s, neg_s = _triple_scores(out, users, pos, neg)
+    loss = bpr_loss(pos_s, neg_s)
+    loss += l2_penalty(
+        params.user_emb[users],
+        params.item_emb[pos],
+        params.item_emb[neg],
+        train_cfg.l2_coeff,
+    )
+    return loss, out, cache, (users, pos, neg), (pos_s, neg_s)
+
+
 def batch_loss(
     cfg: ModelConfig,
     train_cfg: TrainConfig,
@@ -146,17 +161,7 @@ def batch_loss(
     graphs: GraphBundle | None = None,
 ) -> float:
     """Ranking loss plus embedding penalty of one batch, forward only."""
-    users, pos, neg = _check_batch(batch, inputs.num_users, inputs.num_items)
-    out, _ = forward_pass(cfg, params, inputs, graphs, keep_cache=False)
-    pos_s, neg_s = _triple_scores(out, users, pos, neg)
-    loss = bpr_loss(pos_s, neg_s)
-    loss += l2_penalty(
-        params.user_emb[users],
-        params.item_emb[pos],
-        params.item_emb[neg],
-        train_cfg.l2_coeff,
-    )
-    return loss
+    return _objective(cfg, train_cfg, params, inputs, batch, graphs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +259,10 @@ def compute_gradients(
     parameters are left out of the gradient dict entirely.  Raises
     GradientError if any gradient comes back non-finite.
     """
-    users, pos, neg = _check_batch(batch, inputs.num_users, inputs.num_items)
-    out, cache = forward_pass(cfg, params, inputs, graphs, keep_cache=True)
-    pos_s, neg_s = _triple_scores(out, users, pos, neg)
-    loss = bpr_loss(pos_s, neg_s)
-    loss += l2_penalty(
-        params.user_emb[users],
-        params.item_emb[pos],
-        params.item_emb[neg],
-        train_cfg.l2_coeff,
+    loss, out, cache, (users, pos, neg), (pos_s, neg_s) = _objective(
+        cfg, train_cfg, params, inputs, batch, graphs
     )
+    frozen = graphs is not None
 
     n_triples = users.size
     # d loss / d neg_s per triple; d loss / d pos_s is its negation
@@ -276,36 +275,30 @@ def compute_gradients(
         users,
         coef[:, None] * (out.enhanced_items[neg] - out.enhanced_items[pos]),
     )
-    grad_enhanced = np.zeros_like(out.enhanced_items)
-    np.add.at(grad_enhanced, pos, -coef[:, None] * x_u)
-    np.add.at(grad_enhanced, neg, coef[:, None] * x_u)
+    grad_item_out = np.zeros_like(out.enhanced_items)
+    np.add.at(grad_item_out, pos, -coef[:, None] * x_u)
+    np.add.at(grad_item_out, neg, coef[:, None] * x_u)
 
     grads: dict[str, np.ndarray] = {}
 
-    # enhancement: x_hat = x_item + normalize(src)
-    if cfg.variant == "base":
-        grad_item_out = grad_enhanced
-        grad_src = None
-    else:
-        grad_item_out = grad_enhanced.copy()
-        grad_src = _unit_rows_backward(
-            grad_enhanced, cache.enhance_add, cache.enhance_norms
-        )
+    # enhancement: x_hat = x_item + normalize(src); the item table gets
+    # grad_item_out unchanged, src gets its normalization backward
+    grad_src = None
+    if cfg.variant != "base":
+        grad_src = _unit_rows_backward(grad_item_out, cache.enhance_add, cache.enhance_norms)
 
+    # propagation; on a learned graph also the gradient on its edge values
     grad_h0 = None
-    grad_graph_vals = None
     if cfg.uses_item_graph:
         graph = cache.graph
-        rows_a = graph.edge_rows()
-        cols_a = graph.indices
-        track_graph = not cache.frozen_graph and cfg.k > 0
-        if track_graph:
+        if not frozen:
             grad_graph_vals = np.zeros(graph.nnz)
+            rows = graph.edge_rows()
         g = grad_src
         for layer in range(cfg.item_layers, 0, -1):
-            if track_graph:
+            if not frozen:
                 _add_edge_products(
-                    grad_graph_vals, g, cache.h_layers[layer - 1], rows_a, cols_a
+                    grad_graph_vals, g, cache.h_layers[layer - 1], rows, graph.indices
                 )
             g = graph.rmatmul(g)
         grad_h0 = g
@@ -324,36 +317,32 @@ def compute_gradients(
             offset += width
 
     # graph-structure path: mixture -> skip blend -> normalization -> cosine
-    if cfg.uses_item_graph and not cache.frozen_graph:
+    if cfg.uses_item_graph and not frozen:
         alpha = cache.alpha
         grad_alpha = np.zeros(alpha.size)
-        modalities = sorted(inputs.features)
-        if grad_graph_vals is not None:
-            for idx, m in enumerate(modalities):
-                fused = cache.fused[m]
-                g_on_fused = values_at(cache.graph, grad_graph_vals, fused)
-                grad_alpha[idx] = float(np.dot(g_on_fused, fused.values))
-                if cfg.fuse_lambda == 1.0:
-                    continue
-                retained = cache.retained[m]
-                if retained.nnz == 0:
-                    continue
-                g_learned = (1.0 - cfg.fuse_lambda) * values_at(
-                    fused, alpha[idx] * g_on_fused, retained
-                )
-                g_retained = _normalize_sym_backward(g_learned, retained)
-                grad_h = _cosine_topk_backward(
-                    g_retained, retained, cache.unit_modal[m], cache.norms_modal[m]
-                )
-                if m in grad_h_modal:
-                    grad_h_modal[m] += grad_h
-                else:
-                    grad_h_modal[m] = grad_h
+        for idx, m in enumerate(sorted(inputs.features)):
+            fused = cache.fused[m]
+            g_on_fused = values_at(graph, grad_graph_vals, fused)
+            grad_alpha[idx] = float(np.dot(g_on_fused, fused.values))
+            if m not in cache.learned:
+                continue
+            retained, unit, norms = cache.learned[m]
+            if retained.nnz == 0:
+                continue
+            g_learned = (1.0 - cfg.fuse_lambda) * values_at(
+                fused, alpha[idx] * g_on_fused, retained
+            )
+            g_retained = _normalize_sym_backward(g_learned, retained)
+            grad_h = _cosine_topk_backward(g_retained, retained, unit, norms)
+            if m in grad_h_modal:
+                grad_h_modal[m] += grad_h
+            else:
+                grad_h_modal[m] = grad_h
         # softmax backward
         grads["modality_logits"] = alpha * (grad_alpha - float(np.dot(alpha, grad_alpha)))
 
     # transformed features back to the affine maps
-    if cfg.uses_modal_features and not (cfg.variant == "full" and cache.frozen_graph):
+    if cfg.uses_modal_features and not (cfg.variant == "full" and frozen):
         for m in params.modalities:
             g_h = grad_h_modal.get(m)
             if g_h is None:
@@ -377,14 +366,12 @@ def compute_gradients(
             total += acc
         grad_user_table = total[: inputs.num_users]
         grad_item_table = total[inputs.num_users :]
-    if cfg.variant == "full" and grad_h0 is not None:
+    if cfg.variant == "full":
         grad_item_table = grad_item_table + grad_h0
 
     # embedding penalty acts on the raw tables
     if train_cfg.l2_coeff > 0.0:
         scale = train_cfg.l2_coeff / n_triples
-        grad_user_table = grad_user_table.copy()
-        grad_item_table = grad_item_table.copy()
         np.add.at(grad_user_table, users, scale * params.user_emb[users])
         np.add.at(grad_item_table, pos, scale * params.item_emb[pos])
         np.add.at(grad_item_table, neg, scale * params.item_emb[neg])

@@ -1,12 +1,17 @@
 """Interaction loading, splits, negative sampling, feature IO, bipartite graph."""
 
+import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice.data import (
     FEATURE_MAGIC,
+    InteractionDataset,
+    _positives_per_user,
     build_bipartite_graph,
     load_features,
     load_interactions,
@@ -18,6 +23,7 @@ from lattice.data import (
     write_features,
 )
 from lattice.errors import DataFormatError
+from lattice.synthetic import write_clustered_dataset
 
 
 def write_tsv(path, rows):
@@ -91,6 +97,29 @@ class TestMakeDataset:
     def test_user_without_positives_rejected(self):
         with pytest.raises(DataFormatError, match="at least one"):
             make_dataset(3, 2, np.array([[0, 0], [1, 1]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_users=st.integers(1, 5),
+        num_items=st.integers(1, 5),
+        cells=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=30),
+    )
+    def test_duplicate_verdict_matches_unique(self, num_users, num_items, cells):
+        # equal items under different users are not duplicates; users may
+        # have no pairs, which is rejected only after the duplicate check
+        pairs = np.array(
+            [(u % num_users, i % num_items) for u, i in cells], dtype=np.int64
+        ).reshape(-1, 2)
+        duplicated = np.unique(pairs, axis=0).shape[0] != pairs.shape[0]
+        empty_user = np.setdiff1d(np.arange(num_users), pairs[:, 0]).size > 0
+        if duplicated:
+            with pytest.raises(DataFormatError, match="duplicate"):
+                make_dataset(num_users, num_items, pairs)
+        elif empty_user:
+            with pytest.raises(DataFormatError, match="at least one"):
+                make_dataset(num_users, num_items, pairs)
+        else:
+            assert make_dataset(num_users, num_items, pairs).num_pairs == pairs.shape[0]
 
 
 class TestWarmSplit:
@@ -190,7 +219,15 @@ class TestAgainstLoops:
             mask[rng.random(num_users) < 0.3] = False  # users with no positives
             pairs = np.argwhere(mask).astype(np.int64)
             pairs = pairs[rng.permutation(len(pairs))]  # unsorted input order
-            yield make_dataset(num_users, num_items, pairs, require_nonempty_users=False)
+            positives, _ = _positives_per_user(num_users, pairs)
+            yield InteractionDataset(
+                num_users,
+                num_items,
+                pairs,
+                positives,
+                user_labels=tuple(f"u{u}" for u in range(num_users)),
+                item_labels=tuple(f"i{i}" for i in range(num_items)),
+            )
 
     def test_positives_per_user_match_loop(self):
         for ds in self.datasets():
@@ -209,6 +246,24 @@ class TestAgainstLoops:
                     got = getattr(split, name).pairs
                     assert got.dtype == np.int64
                     assert np.array_equal(got, want[name])
+
+    def test_split_partitions_match_loop(self):
+        # every partition: the source's id space and labels, and positives
+        # bucketed from its own pairs
+        for ds in self.datasets():
+            if ds.num_items < 2:
+                continue
+            splits = [split_warm(ds, 1), split_cold(ds, 0.5, 2)]
+            for split in splits:
+                for name in ("train", "valid", "test"):
+                    part = getattr(split, name)
+                    assert (part.num_users, part.num_items) == (ds.num_users, ds.num_items)
+                    assert part.user_labels == ds.user_labels
+                    assert part.item_labels == ds.item_labels
+                    want = loop_positives(ds.num_users, part.pairs)
+                    assert len(part.user_positives) == len(want)
+                    for got, ref in zip(part.user_positives, want):
+                        assert np.array_equal(got, ref)
 
 
 class TestColdSplit:
@@ -417,3 +472,32 @@ class TestWriteAtomic:
             write_atomic(path, chunks())
         assert path.read_bytes() == b"previous"
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def refuse_replace(*args, **kwargs):
+    raise OSError("rename refused")
+
+
+class TestWritersAreAtomic:
+    """A failed rename leaves every previous file, and no temp file."""
+
+    def test_features_kept_on_failed_replace(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.latf"
+        write_features(path, np.zeros((2, 3)))
+        before = path.read_bytes()
+        monkeypatch.setattr(os, "replace", refuse_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            write_features(path, np.ones((4, 3)))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["f.latf"]
+
+    def test_synthetic_files_kept_on_failed_replace(self, tmp_path, monkeypatch):
+        kwargs = dict(items_per_cluster=5, feat_dim=4, num_users=10, positives_per_user=2)
+        tsv, features = write_clustered_dataset(tmp_path, seed=0, **kwargs)
+        paths = [tsv, *features.values()]
+        before = [p.read_bytes() for p in paths]
+        monkeypatch.setattr(os, "replace", refuse_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            write_clustered_dataset(tmp_path, seed=1, **kwargs)
+        assert [p.read_bytes() for p in paths] == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from lattice import data, evaluation, graph, model, training
+from lattice.data import make_dataset
 from lattice.model import ModelConfig
 from lattice.training import init_parameters
 
@@ -40,6 +41,17 @@ def test_patch_points_install_and_restore():
         patches.restore()
     for owner, saved in zip(owners, before):
         assert all(vars(owner)[name] is value for name, value in saved.items())
+
+
+def test_cf_forward_takes_the_three_arguments_perfbench_passes():
+    # perfbench's checks call cf_forward(cfg, params, inputs) positionally
+    cfg = ModelConfig(backend="lightgcn", variant="base", embed_dim=4, cf_layers=2)
+    ds = make_dataset(3, 4, np.array([[0, 0], [1, 1], [2, 3]]))
+    inputs = model.build_inputs(cfg, ds, {})
+    params = init_parameters(cfg, 3, 4, {}, np.random.default_rng(0))
+    user_vecs, item_vecs = model.cf_forward(cfg, params, inputs)
+    assert user_vecs.shape == (3, 4)
+    assert item_vecs.shape == (4, 4)
 
 
 def test_parameter_set_exposes_what_perfbench_reads():
