@@ -250,6 +250,8 @@ def cmd_sweep(
     axis: str, values_raw: str,
 ) -> int:
     values = _parse_axis_values(axis, values_raw)
+    for value in values:  # reject a bad value before any point trains
+        cfg.with_values(**{_AXIS_KEYS[axis]: value})
     threads = _worker_count()
     if threads > 1 and len(values) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(values))) as pool:
@@ -312,7 +314,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir, args.config, args.out, args.axis, args.values)
         raise ConfigError(f"unknown command {args.command!r}")
-    except LatticeError as exc:
+    except (LatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

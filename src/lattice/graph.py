@@ -14,6 +14,10 @@ fresh mapping each time, so a block that large (256 rows at 19k items is
 Each block is reduced with whole-block array calls: the k-th largest maximum
 over strided column groups bounds each row's k-th largest value from below,
 leaving a handful of candidates per row for the exact cut.
+
+Each differentiable stage's backward sits beside its forward and shares its
+guards: unit_rows_backward, normalize_sym_backward, and knn_cosine_backward,
+which treats the kept top-k support as a constant.
 """
 
 from __future__ import annotations
@@ -121,29 +125,13 @@ class SparseGraph:
         return np.diff(self.indptr)
 
     def row_sums(self) -> np.ndarray:
-        sums = np.zeros(self.num_nodes, dtype=np.float64)
-        np.add.at(sums, self.edge_rows(), self.values)
-        return sums
+        # bincount returns int zeros when there is no entry to weigh
+        sums = np.bincount(self.edge_rows(), weights=self.values, minlength=self.num_nodes)
+        return sums.astype(np.float64, copy=False)
 
     def edge_rows(self) -> np.ndarray:
         """Row index of every stored entry, aligned with indices/values."""
         return np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.row_counts())
-
-    def matmul(self, dense: np.ndarray) -> np.ndarray:
-        """Multiply this graph (as a matrix) against dense rows."""
-        if dense.shape[0] != self.num_nodes:
-            raise ValueError(
-                f"matrix has {dense.shape[0]} rows, graph has {self.num_nodes} nodes"
-            )
-        return self.csr @ dense
-
-    def rmatmul(self, dense: np.ndarray) -> np.ndarray:
-        """Multiply the transpose of this graph against dense rows."""
-        if dense.shape[0] != self.num_nodes:
-            raise ValueError(
-                f"matrix has {dense.shape[0]} rows, graph has {self.num_nodes} nodes"
-            )
-        return self.csr.T @ dense
 
 
 def _trusted(num_nodes: int, indptr, indices, values) -> SparseGraph:
@@ -179,10 +167,29 @@ def unit_rows(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if feats.ndim != 2:
         raise ValueError("feature matrix must be 2-D")
     norms = np.linalg.norm(feats, axis=1)
-    safe = np.where(norms >= NORM_EPS, norms, 1.0)
+    safe, zero = _norm_guard(norms)
     unit = feats / safe[:, None]
-    unit[norms < NORM_EPS] = 0.0
+    unit[zero] = 0.0
     return unit, norms
+
+
+def _norm_guard(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row divisors (norms, 1.0 below NORM_EPS) and the mask of rows below it."""
+    return np.where(norms >= NORM_EPS, norms, 1.0), norms < NORM_EPS
+
+
+def unit_rows_backward(
+    grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray
+) -> np.ndarray:
+    """Backward of unit_rows onto its input rows; guarded rows get 0.
+
+    unit and norms are the forward outputs of unit_rows.
+    """
+    dots = np.einsum("nd,nd->n", grad_unit, unit)
+    safe, zero = _norm_guard(norms)
+    grad = (grad_unit - dots[:, None] * unit) / safe[:, None]
+    grad[zero] = 0.0
+    return grad
 
 
 def iter_cosine_rows(
@@ -306,11 +313,36 @@ def normalize_sym(graph: SparseGraph) -> SparseGraph:
     target column has zero degree becomes 0 and is dropped; rows with zero
     degree stay empty.
     """
-    degrees = graph.row_sums()
-    inv_sqrt = np.where(degrees >= NORM_EPS, 1.0 / np.sqrt(np.maximum(degrees, NORM_EPS)), 0.0)
-    rows = graph.edge_rows()
+    _, inv_sqrt, rows = _degree_scales(graph)
     values = graph.values * inv_sqrt[rows] * inv_sqrt[graph.indices]
     return prune_zeros(_trusted(graph.num_nodes, graph.indptr, graph.indices, values))
+
+
+def _degree_scales(graph: SparseGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(degrees, 1 / sqrt(degrees) or 0 below NORM_EPS, row of every entry)."""
+    degrees = graph.row_sums()
+    inv_sqrt = np.where(degrees >= NORM_EPS, 1.0 / np.sqrt(np.maximum(degrees, NORM_EPS)), 0.0)
+    return degrees, inv_sqrt, graph.edge_rows()
+
+
+def normalize_sym_backward(grad_vals: np.ndarray, graph: SparseGraph) -> np.ndarray:
+    """Backward of normalize_sym onto graph's weights.
+
+    grad_vals is aligned with graph's entries, i.e. with the outputs before
+    zeros are pruned; a pruned entry's gradient is simply never read.  Every
+    weight in row i moves the degree d_i, which scales row i's outputs and
+    column i's outputs alike.
+    """
+    degrees, inv_sqrt, rows = _degree_scales(graph)
+    cols = graph.indices
+    # a row below NORM_EPS has all-zero outputs, so its row and column dots
+    # are 0 and need no guard beyond a finite 1 / degree
+    inv_deg = 1.0 / np.maximum(degrees, NORM_EPS)
+    prod = grad_vals * (graph.values * inv_sqrt[rows] * inv_sqrt[cols])
+    row_dot = np.bincount(rows, weights=prod, minlength=graph.num_nodes)
+    col_dot = np.bincount(cols, weights=prod, minlength=graph.num_nodes)
+    direct = grad_vals * inv_sqrt[rows] * inv_sqrt[cols]
+    return direct - 0.5 * (row_dot + col_dot)[rows] * inv_deg[rows]
 
 
 def prune_zeros(graph: SparseGraph) -> SparseGraph:
@@ -318,8 +350,7 @@ def prune_zeros(graph: SparseGraph) -> SparseGraph:
     if graph.nnz == 0 or graph.values.min() > 0.0:
         return graph
     keep = graph.values > 0.0
-    counts = np.zeros(graph.num_nodes, dtype=np.int64)
-    np.add.at(counts, graph.edge_rows()[keep], 1)
+    counts = np.bincount(graph.edge_rows()[keep], minlength=graph.num_nodes)
     return _trusted(
         graph.num_nodes,
         np.concatenate([[0], np.cumsum(counts)]),
@@ -332,6 +363,20 @@ def knn_cosine_graph(features: np.ndarray, k: int) -> SparseGraph:
     """Top-k clamped-cosine graph of the feature rows, unnormalized."""
     n = np.asarray(features).shape[0]
     return topk_sparsify(iter_cosine_rows(features), k, n)
+
+
+def knn_cosine_backward(
+    grad_vals: np.ndarray, graph: SparseGraph, features: np.ndarray
+) -> np.ndarray:
+    """Backward of knn_cosine_graph(features, k) from its kept values to features.
+
+    The kept support is a constant; each kept value is u_i . u_j with u the
+    unit rows of features.  Diagonal entries fall out of the symmetric
+    accumulation.
+    """
+    unit, norms = unit_rows(features)
+    grad = sp.csr_matrix((grad_vals, graph.indices, graph.indptr), shape=graph.csr.shape)
+    return unit_rows_backward(grad @ unit + grad.T @ unit, unit, norms)
 
 
 def build_initial_graph(features: np.ndarray, k: int) -> SparseGraph:

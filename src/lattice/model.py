@@ -12,7 +12,8 @@ forward_pass is the one forward path: training and evaluation both run it.
 Beside the output it returns a ForwardCache holding exactly what the
 hand-written backward pass in training reads, and nothing else: the fused
 and mixed item graphs, a learned-graph record per modality whose graph was
-built, the propagation layers, and the enhancement normalization.
+built, the propagation layers, and the enhancement normalization.  A frozen
+item graph is the (graph, alpha) pair that build_item_graph returns.
 """
 
 from __future__ import annotations
@@ -218,21 +219,13 @@ def build_inputs(
 
 
 @dataclass
-class GraphBundle:
-    """A mixed item graph reusable across batches when refresh is per-epoch."""
-
-    graph: SparseGraph
-    alpha: np.ndarray | None
-
-
-@dataclass
 class ForwardCache:
     """What the backward pass reads of one forward pass.
 
-    learned[m] = (retained, unit, norms) for each modality whose learned graph
-    was built from the current parameters: the top-k cosine graph, and the
-    unit rows and row norms of the transformed features it was scored from.
-    A frozen graph, k = 0 and fuse_lambda = 1 build none.
+    learned[m] = (retained, features) for each modality whose learned graph
+    was built from the current parameters: the top-k cosine graph and the
+    transformed features it was scored from.  A frozen graph, k = 0 and
+    fuse_lambda = 1 build none.
     """
 
     learned: dict = field(default_factory=dict)
@@ -287,7 +280,7 @@ def build_item_graph(
             retained = knn_cosine_graph(h_modal[m], cfg.k)
             fused = fuse_skip(fused, normalize_sym(retained), cfg.fuse_lambda)
             if cache is not None:
-                cache.learned[m] = (retained, *unit_rows(h_modal[m]))
+                cache.learned[m] = (retained, h_modal[m])
         if cache is not None:
             cache.fused[m] = fused
         fused_list.append(fused)
@@ -307,7 +300,7 @@ def propagate_item_graph(
         )
     hs = [h0]
     for _ in range(layers):
-        hs.append(graph.matmul(hs[-1]))
+        hs.append(graph.csr @ hs[-1])
     return hs
 
 
@@ -328,7 +321,7 @@ def cf_forward(
     z = np.concatenate([params.user_emb, params.item_emb], axis=0)
     mean = z.copy()
     for _ in range(cfg.cf_layers):
-        z = inputs.bipartite.matmul(z)
+        z = inputs.bipartite.csr @ z
         mean += z
     mean /= cfg.cf_layers + 1
     return mean[: inputs.num_users], mean[inputs.num_users :]
@@ -338,12 +331,13 @@ def forward_pass(
     cfg: ModelConfig,
     params: ParameterSet,
     inputs: ModelInputs,
-    graphs: GraphBundle | None = None,
+    graphs: tuple[SparseGraph, np.ndarray] | None = None,
 ) -> tuple[ForwardOutput, ForwardCache]:
     """Full forward computation for any backend/variant combination.
 
-    When graphs is supplied the item graph is taken as a constant instead of
-    being rebuilt from the current parameters (per-epoch refresh mode).
+    When graphs, a (graph, alpha) pair, is supplied the item graph is taken as
+    a constant instead of being rebuilt from the current parameters
+    (per-epoch refresh mode).
     """
     cache = ForwardCache()
     user_vecs, item_vecs = cf_forward(cfg, params, inputs)
@@ -355,19 +349,17 @@ def forward_pass(
         h_modal = _transformed_features(params, inputs)
         cache.feat_concat = np.concatenate([h_modal[m] for m in sorted(h_modal)], axis=1)
 
+    if cfg.variant == "full":
+        src = params.item_emb
+    else:
+        src = cache.feat_concat @ params.projection.T
     if cfg.uses_item_graph:
         if graphs is None:
             cache.graph, cache.alpha = build_item_graph(cfg, params, inputs, cache, h_modal)
         else:
-            cache.graph, cache.alpha = graphs.graph, graphs.alpha
-        if cfg.variant == "full":
-            h0 = params.item_emb
-        else:
-            h0 = cache.feat_concat @ params.projection.T
-        cache.h_layers = propagate_item_graph(cache.graph, h0, cfg.item_layers)
+            cache.graph, cache.alpha = graphs
+        cache.h_layers = propagate_item_graph(cache.graph, src, cfg.item_layers)
         src = cache.h_layers[-1]
-    else:  # feats_side_info: project concatenated features, skip the graph
-        src = cache.feat_concat @ params.projection.T
 
     cache.enhance_add, cache.enhance_norms = unit_rows(src)
     return ForwardOutput(user_vecs, item_vecs, item_vecs + cache.enhance_add), cache
@@ -377,7 +369,7 @@ def forward(
     cfg: ModelConfig,
     params: ParameterSet,
     inputs: ModelInputs,
-    graphs: GraphBundle | None = None,
+    graphs: tuple[SparseGraph, np.ndarray] | None = None,
 ) -> ForwardOutput:
     return forward_pass(cfg, params, inputs, graphs)[0]
 

@@ -17,17 +17,21 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, TextIO
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import expit
 
 from .data import ModalityFeatures, sample_negative
 from .errors import GradientError
 from .evaluation import evaluate
-from .graph import NORM_EPS, SparseGraph, softmax, values_at
+from .graph import (
+    knn_cosine_backward,
+    normalize_sym_backward,
+    softmax,
+    unit_rows_backward,
+    values_at,
+)
 from .model import (
     ForwardCache,
     ForwardOutput,
-    GraphBundle,
     ModelConfig,
     ModelInputs,
     ParameterSet,
@@ -158,7 +162,7 @@ def batch_loss(
     params: ParameterSet,
     inputs: ModelInputs,
     batch,
-    graphs: GraphBundle | None = None,
+    graphs: tuple | None = None,
 ) -> float:
     """Ranking loss plus embedding penalty of one batch, forward only."""
     return _objective(cfg, train_cfg, params, inputs, batch, graphs)[0]
@@ -166,63 +170,6 @@ def batch_loss(
 
 # ---------------------------------------------------------------------------
 # backward pass
-
-
-def _unit_rows_backward(
-    grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray
-) -> np.ndarray:
-    """Backward of graph.unit_rows: v -> v / ||v||, guarded rows get 0.
-
-    unit and norms are the forward outputs of unit_rows.
-    """
-    dots = np.einsum("nd,nd->n", grad_unit, unit)
-    safe = np.where(norms >= NORM_EPS, norms, 1.0)
-    grad = (grad_unit - dots[:, None] * unit) / safe[:, None]
-    grad[norms < NORM_EPS] = 0.0
-    return grad
-
-
-def _normalize_sym_backward(
-    grad_vals: np.ndarray, retained: SparseGraph
-) -> np.ndarray:
-    """Backward of w_ij -> w_ij / sqrt(d_i d_j) onto the retained weights.
-
-    d is the vector of row sums, so every stored weight in row i moves d_i,
-    and every stored weight also moves the degree of its source node as seen
-    from column positions.
-    """
-    degrees = retained.row_sums()
-    rows = retained.edge_rows()
-    cols = retained.indices
-    inv_sqrt = np.where(
-        degrees >= NORM_EPS, 1.0 / np.sqrt(np.maximum(degrees, NORM_EPS)), 0.0
-    )
-    inv_deg = np.where(degrees >= NORM_EPS, 1.0 / np.maximum(degrees, NORM_EPS), 0.0)
-    out_vals = retained.values * inv_sqrt[rows] * inv_sqrt[cols]
-    prod = grad_vals * out_vals
-    row_dot = np.zeros(retained.num_nodes)
-    col_dot = np.zeros(retained.num_nodes)
-    np.add.at(row_dot, rows, prod)
-    np.add.at(col_dot, cols, prod)
-    direct = grad_vals * inv_sqrt[rows] * inv_sqrt[cols]
-    return direct - 0.5 * (row_dot + col_dot)[rows] * inv_deg[rows]
-
-
-def _cosine_topk_backward(
-    grad_vals: np.ndarray,
-    retained: SparseGraph,
-    unit: np.ndarray,
-    norms: np.ndarray,
-) -> np.ndarray:
-    """Backward from retained cosine values to the transformed feature rows.
-
-    The support is a constant; each retained value is u_i . u_j with u the
-    unit rows.  Diagonal entries fall out of the symmetric accumulation.
-    """
-    m = sp.csr_matrix(
-        (grad_vals, retained.indices, retained.indptr), shape=retained.csr.shape
-    )
-    return _unit_rows_backward(m @ unit + m.T @ unit, unit, norms)
 
 
 # Edges per slice in _add_edge_products.  A gathered slice of 1,024 rows at
@@ -251,13 +198,13 @@ def compute_gradients(
     params: ParameterSet,
     inputs: ModelInputs,
     batch,
-    graphs: GraphBundle | None = None,
+    graphs: tuple | None = None,
 ) -> tuple[float, dict, ForwardCache]:
     """Loss and analytic gradients of one batch of (user, pos, neg) triples.
 
-    With graphs supplied the item graph is a frozen constant: graph-structure
-    parameters are left out of the gradient dict entirely.  Raises
-    GradientError if any gradient comes back non-finite.
+    With graphs, a (graph, alpha) pair, supplied the item graph is a frozen
+    constant: graph-structure parameters are left out of the gradient dict
+    entirely.  Raises GradientError if any gradient comes back non-finite.
     """
     loss, out, cache, (users, pos, neg), (pos_s, neg_s) = _objective(
         cfg, train_cfg, params, inputs, batch, graphs
@@ -285,31 +232,27 @@ def compute_gradients(
     # grad_item_out unchanged, src gets its normalization backward
     grad_src = None
     if cfg.variant != "base":
-        grad_src = _unit_rows_backward(grad_item_out, cache.enhance_add, cache.enhance_norms)
+        grad_src = unit_rows_backward(grad_item_out, cache.enhance_add, cache.enhance_norms)
 
-    # propagation; on a learned graph also the gradient on its edge values
-    grad_h0 = None
+    # propagation back to its input src; on a learned graph also the gradient
+    # on its edge values
     if cfg.uses_item_graph:
         graph = cache.graph
         if not frozen:
             grad_graph_vals = np.zeros(graph.nnz)
             rows = graph.edge_rows()
-        g = grad_src
         for layer in range(cfg.item_layers, 0, -1):
             if not frozen:
                 _add_edge_products(
-                    grad_graph_vals, g, cache.h_layers[layer - 1], rows, graph.indices
+                    grad_graph_vals, grad_src, cache.h_layers[layer - 1], rows, graph.indices
                 )
-            g = graph.rmatmul(g)
-        grad_h0 = g
-    elif cfg.variant == "feats_side_info":
-        grad_h0 = grad_src  # src is the projection output itself
+            grad_src = graph.csr.T @ grad_src
 
     # projection and concatenated-feature path
     grad_h_modal: dict[str, np.ndarray] = {}
     if cfg.uses_projection:
-        grads["projection"] = grad_h0.T @ cache.feat_concat
-        grad_concat = grad_h0 @ params.projection
+        grads["projection"] = grad_src.T @ cache.feat_concat
+        grad_concat = grad_src @ params.projection
         offset = 0
         for m in sorted(inputs.features):
             width = cfg.hidden_dim
@@ -326,14 +269,14 @@ def compute_gradients(
             grad_alpha[idx] = float(np.dot(g_on_fused, fused.values))
             if m not in cache.learned:
                 continue
-            retained, unit, norms = cache.learned[m]
+            retained, features = cache.learned[m]
             if retained.nnz == 0:
                 continue
             g_learned = (1.0 - cfg.fuse_lambda) * values_at(
                 fused, alpha[idx] * g_on_fused, retained
             )
-            g_retained = _normalize_sym_backward(g_learned, retained)
-            grad_h = _cosine_topk_backward(g_retained, retained, unit, norms)
+            g_retained = normalize_sym_backward(g_learned, retained)
+            grad_h = knn_cosine_backward(g_retained, retained, features)
             if m in grad_h_modal:
                 grad_h_modal[m] += grad_h
             else:
@@ -362,12 +305,12 @@ def compute_gradients(
         acc = scale * g0
         total = acc.copy()
         for _ in range(cfg.cf_layers):
-            acc = inputs.bipartite.matmul(acc)
+            acc = inputs.bipartite.csr @ acc
             total += acc
         grad_user_table = total[: inputs.num_users]
         grad_item_table = total[inputs.num_users :]
     if cfg.variant == "full":
-        grad_item_table = grad_item_table + grad_h0
+        grad_item_table = grad_item_table + grad_src
 
     # embedding penalty acts on the raw tables
     if train_cfg.l2_coeff > 0.0:
@@ -401,9 +344,6 @@ def adam_step(
     params: ParameterSet,
     grads: Mapping[str, np.ndarray],
     lr: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
 ) -> None:
     """One Adam update, in place, with bias-corrected moment estimates.
 
@@ -418,13 +358,13 @@ def adam_step(
             slot = AdamSlot(m=np.zeros_like(arr), v=np.zeros_like(arr))
             state[name] = slot
         slot.t += 1
-        slot.m *= beta1
-        slot.m += (1.0 - beta1) * g
-        slot.v *= beta2
-        slot.v += (1.0 - beta2) * (g * g)
-        m_hat = slot.m / (1.0 - beta1**slot.t)
-        v_hat = slot.v / (1.0 - beta2**slot.t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        slot.m *= ADAM_BETA1
+        slot.m += (1.0 - ADAM_BETA1) * g
+        slot.v *= ADAM_BETA2
+        slot.v += (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = slot.m / (1.0 - ADAM_BETA1**slot.t)
+        v_hat = slot.v / (1.0 - ADAM_BETA2**slot.t)
+        arr -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +455,7 @@ def fit(
             dtype=np.int64,
             count=epoch_pairs.shape[0],
         )
-        bundle = None
+        frozen = None
         loss_sum = 0.0
         for start in range(0, epoch_pairs.shape[0], train_cfg.batch_size):
             stop = start + train_cfg.batch_size
@@ -525,15 +465,10 @@ def fit(
                 negatives[start:stop],
             )
             loss, grads, cache = compute_gradients(
-                model_cfg, train_cfg, params, inputs, batch, graphs=bundle
+                model_cfg, train_cfg, params, inputs, batch, graphs=frozen
             )
-            if (
-                train_cfg.graph_refresh == "per_epoch"
-                and bundle is None
-                and model_cfg.uses_item_graph
-                and cache.graph is not None
-            ):
-                bundle = GraphBundle(graph=cache.graph, alpha=cache.alpha)
+            if train_cfg.graph_refresh == "per_epoch" and cache.graph is not None:
+                frozen = (cache.graph, cache.alpha)
             adam_step(adam_state, params, grads, train_cfg.learning_rate)
             loss_sum += loss * batch[0].shape[0]
         train_loss = loss_sum / epoch_pairs.shape[0]

@@ -259,6 +259,15 @@ class TestPrepare:
         assert main(args) == 0
         assert (out / "split_manifest.json").read_bytes() == first
 
+    def test_out_dir_naming_a_file_reports_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("a regular file\n", encoding="utf-8")
+        code = main(["prepare", "--config", str(workspace / "run.cfg"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out.read_text(encoding="utf-8") == "a regular file\n"
+
     def test_dump_graphs_writes_tsv_and_meta(self, workspace, tmp_path):
         out = tmp_path / "prep"
         code = main(
@@ -609,6 +618,25 @@ class TestSweep:
         assert code == 1
         assert "cannot parse" in capsys.readouterr().err
 
+    def test_invalid_value_rejected_before_any_point_trains(self, workspace, tmp_path, capsys):
+        out = tmp_path / "sw"
+        code = main(
+            [
+                "sweep",
+                "--config",
+                str(workspace / "run.cfg"),
+                "--out",
+                str(out),
+                "--axis",
+                "k",
+                "--values",
+                "3,-1",
+            ]
+        )
+        assert code == 1
+        assert "k: invalid int value -1" in capsys.readouterr().err
+        assert not (out / "sweep_k").exists()
+
     def test_worker_count_env_validated(self, workspace, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("LATTICE_THREADS", "zero")
         code = main(
@@ -666,7 +694,7 @@ class TestAtomicOutputs:
         ],
     )
     def test_failed_rewrite_keeps_previous_output(
-        self, workspace, trained, tmp_path, monkeypatch, command, target
+        self, workspace, trained, tmp_path, monkeypatch, capsys, command, target
     ):
         out = tmp_path / "out"
         out.mkdir()
@@ -682,7 +710,8 @@ class TestAtomicOutputs:
 
         monkeypatch.setattr(os, "replace", crash_on_target)
         argv = [command[0], "--config", str(workspace / "run.cfg"), "--out", str(out)]
-        with pytest.raises(OSError, match="simulated crash"):
-            main(argv + command[1:])
+        assert main(argv + command[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulated crash") and err.count("\n") == 1
         assert previous.read_bytes() == b"previous run\n"
         assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]

@@ -19,8 +19,10 @@ from lattice.graph import (
     build_initial_graph,
     fuse_skip,
     iter_cosine_rows,
+    knn_cosine_backward,
     knn_cosine_graph,
     normalize_sym,
+    normalize_sym_backward,
     read_graph_dump,
     softmax,
     topk_sparsify,
@@ -161,6 +163,16 @@ def test_values_at_matches_scipy_fancy_indexing(source_density, target_density):
     want = np.zeros(0) if rows.size == 0 else np.asarray(oracle[rows, cols]).ravel()
     assert got.dtype == np.float64
     assert got.tobytes() == want.astype(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("density", [0.0, 0.05, 0.5])
+def test_row_sums_add_in_entry_order(density):
+    # the sums are bitwise those of np.add.at into zeros, entry by entry
+    g = random_graph(60, density, seed=4)
+    want = np.zeros(g.num_nodes)
+    np.add.at(want, g.edge_rows(), g.values)
+    assert g.row_sums().dtype == np.float64
+    assert g.row_sums().tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +381,85 @@ class TestNormalize:
         a = normalize_sym(SparseGraph.from_scipy(sp.csr_matrix(dense)))
         b = normalize_sym(SparseGraph.from_scipy(sp.csr_matrix(dense * 7.25)))
         np.testing.assert_allclose(a.to_dense(), b.to_dense(), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# stage backwards against central differences of their forwards
+
+STAGE_FD_STEP = 1e-6
+
+
+def central_differences(loss, x):
+    """d loss / d x, one entry of x at a time."""
+    grad = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        saved = x[idx]
+        x[idx] = saved + STAGE_FD_STEP
+        up = loss(x)
+        x[idx] = saved - STAGE_FD_STEP
+        down = loss(x)
+        x[idx] = saved
+        grad[idx] = (up - down) / (2 * STAGE_FD_STEP)
+    return grad
+
+
+def test_normalize_sym_backward_matches_central_differences():
+    rng = np.random.default_rng(7)
+    n, empty, stored_zero = 9, 4, 7
+    dense = np.where(rng.random((n, n)) < 0.5, rng.uniform(0.5, 1.5, (n, n)), 0.0)
+    # zero-degree rows, so entries in their columns are dropped: one empty,
+    # one holding a single stored zero weight
+    dense[:, [empty, stored_zero]] = np.where(np.arange(n) % 2 == 0, 0.7, 0.0)[:, None]
+    dense[[empty, stored_zero]] = 0.0
+    dense[stored_zero, 0] = -1.0
+    matrix = sp.csr_matrix(dense)
+    matrix.data[matrix.data < 0.0] = 0.0
+    g = SparseGraph.from_scipy(matrix)
+    assert np.count_nonzero(np.isin(g.indices, [empty, stored_zero])) > 2
+    assert not np.any(np.isin(normalize_sym(g).indices, [empty, stored_zero]))
+    upstream = rng.standard_normal(g.nnz)
+    live = g.values > 0.0
+
+    def loss(live_values):
+        values = g.values.copy()
+        values[live] = live_values
+        out = normalize_sym(SparseGraph(n, g.indptr, g.indices, values))
+        return float(np.dot(upstream, values_at(out, out.values, g)))  # pre-prune
+
+    with np.errstate(divide="raise", invalid="raise"):
+        got = normalize_sym_backward(upstream, g)
+        want = central_differences(loss, g.values[live])
+    np.testing.assert_allclose(got[live], want, rtol=1e-6, atol=1e-8)
+
+
+def test_knn_cosine_backward_matches_central_differences():
+    rng = np.random.default_rng(8)
+    n, zero, tiny = 10, 3, 6
+    guarded = [zero, tiny]
+    features = rng.uniform(0.1, 1.0, (n, 5))  # every cosine positive: no clamp
+    features[zero] = 0.0
+    features[tiny] = 1e-14  # nonzero, but its norm is below NORM_EPS
+    kept = knn_cosine_graph(features, 3)
+    # hold the kept support fixed, plus every entry in a guarded row or
+    # column, whose kept cosines read 0
+    pattern = kept.csr.toarray() > 0
+    pattern[guarded] = True
+    pattern[:, guarded] = True
+    support = SparseGraph.from_scipy(sp.csr_matrix(pattern.astype(np.float64)))
+    rows, cols = support.edge_rows(), support.indices
+    upstream = rng.standard_normal(support.nnz)
+
+    def loss(feats):
+        unit, _ = graph.unit_rows(feats)
+        return float(np.dot(upstream, np.einsum("ed,ed->e", unit[rows], unit[cols])))
+
+    with np.errstate(divide="raise", invalid="raise"):
+        assert not np.any(graph.unit_rows(features)[0][guarded])
+        got = knn_cosine_backward(upstream, support, features)
+        want = central_differences(loss, features.copy())
+    assert not np.any(got[guarded])
+    others = np.setdiff1d(np.arange(n), guarded)
+    np.testing.assert_allclose(got[others], want[others], rtol=1e-6, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

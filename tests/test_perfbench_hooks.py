@@ -1,11 +1,10 @@
 """The names the benchmark under perfbench/ patches and reads must exist.
 
 perfbench times the package by replacing functions at the attributes their
-callers resolve, and reads parameters by role.  This suite does not collect
-perfbench's own tests, so a rename would otherwise fail only in the
-benchmark; here its patching module is loaded from the checkout, every
-wrapper it uses is installed and removed, and the parameter roles it reads
-are checked.
+callers resolve, and reads parameters by role.  Its patching module is
+loaded from the checkout, every wrapper it uses is installed and removed,
+and the parameter roles it reads are checked, so a rename fails here by
+name, beside perfbench's own tests, which the suite collects too.
 """
 
 import importlib.util

@@ -242,11 +242,8 @@ class TestAnalyticGradients:
         train_cfg = TrainConfig(l2_coeff=0.0)
         _, grads, cache = compute_gradients(cfg, train_cfg, params, inputs, batch)
         assert "modality_logits" in grads
-        from lattice.model import GraphBundle
-
-        bundle = GraphBundle(graph=cache.graph, alpha=cache.alpha)
         _, frozen, _ = compute_gradients(
-            cfg, train_cfg, params, inputs, batch, graphs=bundle
+            cfg, train_cfg, params, inputs, batch, graphs=(cache.graph, cache.alpha)
         )
         assert "modality_logits" not in frozen
         assert not any(name.startswith("transform") for name in frozen)
