@@ -3,7 +3,10 @@
 Every subcommand takes --config pointing at a key = value file; outputs land
 in the config's out_dir unless --out overrides it.  All outputs embed the
 digest of the resolved config.  LATTICE_THREADS caps how many sweep points
-run as parallel worker processes (default 1, sequential).
+run as parallel worker processes (default 1, sequential).  Each worker's
+BLAS still starts one thread per core, so with more than one worker set
+OPENBLAS_NUM_THREADS=1 as well: on a 2-core box a 2-worker sweep ran slower
+than the serial one without it and about 1.5x faster than serial with it.
 """
 
 from __future__ import annotations
@@ -17,12 +20,12 @@ from pathlib import Path
 
 from .config import RunConfig, load_run_config
 from .data import (
-    InteractionDataset,
     Split,
     load_features,
     load_interactions,
     split_cold,
     split_warm,
+    temp_beside,
     write_atomic,
 )
 from .errors import CheckpointError, ConfigError, LatticeError
@@ -78,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_split(cfg: RunConfig) -> tuple[InteractionDataset, Split, dict]:
+def _load_split(cfg: RunConfig) -> tuple[Split, dict]:
     dataset = load_interactions(cfg.interactions_path)
     features = {
         m: load_features(p, dataset.num_items, m)
@@ -88,11 +91,10 @@ def _load_split(cfg: RunConfig) -> tuple[InteractionDataset, Split, dict]:
         split = split_warm(dataset, cfg["split_seed"])
     else:
         split = split_cold(dataset, cfg["item_fraction"], cfg["split_seed"])
-    return dataset, split, features
+    return split, features
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     write_atomic(path, [text.encode("utf-8")])
 
@@ -106,7 +108,7 @@ def _write_manifest(cfg: RunConfig, split: Split, out_dir: Path) -> Path:
 
 
 def cmd_prepare(cfg: RunConfig, out_dir: Path, dump_graphs: bool) -> int:
-    _, split, features = _load_split(cfg)
+    split, features = _load_split(cfg)
     path = _write_manifest(cfg, split, out_dir)
     print(f"wrote {path}")
     if dump_graphs:
@@ -131,31 +133,34 @@ def cmd_train(cfg: RunConfig, out_dir: Path, checkpoint_arg: str | None) -> int:
         raise ConfigError(
             "resuming from a checkpoint is not supported; train always starts fresh"
         )
-    _, split, features = _load_split(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(cfg, split, out_dir)
+    split, features = _load_split(cfg)
+    model_cfg = cfg.model_config()
+    # the log streams into a temp file and replaces the old one only once the
+    # checkpoint is written, so a failed run leaves the previous run whole
     log_path = out_dir / TRAIN_LOG_NAME
-    with open(log_path, "w", encoding="utf-8") as log_stream:
-        result = fit(
-            cfg.model_config(),
-            cfg.train_config(),
-            split,
-            features,
-            log_stream=log_stream,
-        )
+    tmp_log = temp_beside(log_path)
     ckpt_path = out_dir / CHECKPOINT_NAME
-    best = result.history[result.best_epoch - 1] if result.best_epoch else None
-    save_checkpoint(
-        ckpt_path,
-        result.model_cfg,
-        result.params,
-        meta={
-            "config_digest": cfg.digest(),
-            "best_epoch": result.best_epoch,
-            "epochs_run": len(result.history),
-            "best_val_recall": best.val_recall if best else 0.0,
-        },
-    )
+    try:
+        with open(tmp_log, "w", encoding="utf-8") as log_stream:
+            result = fit(model_cfg, cfg.train_config(), split, features, log_stream=log_stream)
+            os.fsync(log_stream.fileno())
+        best = result.history[result.best_epoch - 1] if result.best_epoch else None
+        save_checkpoint(
+            ckpt_path,
+            model_cfg,
+            result.params,
+            meta={
+                "config_digest": cfg.digest(),
+                "best_epoch": result.best_epoch,
+                "epochs_run": len(result.history),
+                "best_val_recall": best.val_recall if best else 0.0,
+            },
+        )
+        os.replace(tmp_log, log_path)
+    except BaseException:
+        tmp_log.unlink(missing_ok=True)
+        raise
+    _write_manifest(cfg, split, out_dir)
     print(f"wrote {ckpt_path} (best epoch {result.best_epoch})")
     return 0
 
@@ -170,7 +175,7 @@ def cmd_evaluate(
             f"{ckpt_path}: checkpoint architecture {model_cfg} "
             f"does not match the config's {cfg.model_config()}"
         )
-    _, split, features = _load_split(cfg)
+    split, features = _load_split(cfg)
     expected = parameter_shapes(
         model_cfg,
         split.train.num_users,
@@ -212,17 +217,17 @@ def _parse_axis_values(axis: str, raw: str) -> list:
     return deduped
 
 
-def _sweep_point(config_path: str, out_override: str | None, axis: str, value) -> dict:
-    """Train and test-evaluate one sweep point; runs in its own process."""
-    cfg = load_run_config(config_path)
-    if out_override is not None:
-        cfg = cfg.with_values(out_dir=out_override)
-    cfg = cfg.with_values(**{_AXIS_KEYS[axis]: value})
-    _, split, features = _load_split(cfg)
-    result = fit(cfg.model_config(), cfg.train_config(), split, features)
+def _sweep_point(cfg: RunConfig, axis: str, value) -> dict:
+    """Train and test-evaluate one sweep point, whose config cfg already holds value.
+
+    Runs in a worker process when the sweep is parallel; cfg pickles.
+    """
+    split, features = _load_split(cfg)
+    model_cfg = cfg.model_config()
+    result = fit(model_cfg, cfg.train_config(), split, features)
     report = evaluate(
         result.params,
-        cfg.model_config(),
+        model_cfg,
         split,
         features,
         "test",
@@ -233,7 +238,7 @@ def _sweep_point(config_path: str, out_override: str | None, axis: str, value) -
     point_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(
         point_dir / CHECKPOINT_NAME,
-        cfg.model_config(),
+        model_cfg,
         result.params,
         meta={"config_digest": cfg.digest(), "axis": axis, "value": value},
     )
@@ -245,30 +250,19 @@ def _sweep_point(config_path: str, out_override: str | None, axis: str, value) -
     return payload
 
 
-def cmd_sweep(
-    cfg: RunConfig, out_dir: Path, config_path: str, out_override: str | None,
-    axis: str, values_raw: str,
-) -> int:
+def cmd_sweep(cfg: RunConfig, out_dir: Path, axis: str, values_raw: str) -> int:
     values = _parse_axis_values(axis, values_raw)
-    for value in values:  # reject a bad value before any point trains
-        cfg.with_values(**{_AXIS_KEYS[axis]: value})
+    # every point's config is checked before any point trains
+    points = [cfg.with_values(**{_AXIS_KEYS[axis]: value}) for value in values]
+    axes = [axis] * len(values)
     threads = _worker_count()
     if threads > 1 and len(values) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(values))) as pool:
-            payloads = list(
-                pool.map(
-                    _sweep_point,
-                    [config_path] * len(values),
-                    [out_override] * len(values),
-                    [axis] * len(values),
-                    values,
-                )
-            )
+            payloads = list(pool.map(_sweep_point, points, axes, values))
     else:
-        payloads = [_sweep_point(config_path, out_override, axis, v) for v in values]
+        payloads = list(map(_sweep_point, points, axes, values))
 
     cutoffs = cfg["cutoffs"]
-    out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / f"sweep_{axis}.tsv"
     header = ["value"]
     for c in cutoffs:
@@ -312,7 +306,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(cfg, out_dir, args.checkpoint, args.partition)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, args.config, args.out, args.axis, args.values)
+            return cmd_sweep(cfg, out_dir, args.axis, args.values)
         raise ConfigError(f"unknown command {args.command!r}")
     except (LatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -272,19 +272,26 @@ def build_bipartite_graph(train: InteractionDataset) -> SparseGraph:
     cols = np.concatenate([train.num_users + items, users])
     vals = np.concatenate([weights, weights])
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return SparseGraph.from_scipy(matrix, n)
+    return SparseGraph.from_scipy(matrix)
 
 
 @dataclass(frozen=True)
 class ModalityFeatures:
-    """Per-item content features for one modality, upcast to float64."""
+    """Per-item content features for one modality, upcast to float64.
 
-    modality_id: str
+    The modality's id is the key it is held under, as in a config's features.
+    """
+
     matrix: np.ndarray
 
     @property
     def dim(self) -> int:
         return int(self.matrix.shape[1])
+
+
+def temp_beside(path: Path) -> Path:
+    """The temp file an atomic write of path goes to before it is renamed."""
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
 
 
 def write_atomic(path, chunks: Iterable[bytes]) -> None:
@@ -295,7 +302,7 @@ def write_atomic(path, chunks: Iterable[bytes]) -> None:
     file, so readers see either the previous file or the complete new one.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = temp_beside(path)
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
@@ -323,7 +330,10 @@ def write_features(path, matrix: np.ndarray) -> None:
 
 
 def load_features(path, num_items: int, modality_id: str) -> ModalityFeatures:
-    """Read a feature container and check it covers exactly num_items rows."""
+    """Read a feature container and check it covers exactly num_items rows.
+
+    modality_id names the modality in the row-count error.
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -346,7 +356,7 @@ def load_features(path, num_items: int, modality_id: str) -> ModalityFeatures:
         )
     if rows != num_items:
         raise DataFormatError(
-            f"{path}: {rows} feature rows for {num_items} items"
+            f"{path}: modality {modality_id!r} has {rows} feature rows for {num_items} items"
         )
     try:
         mat = np.frombuffer(blob, dtype="<f4", offset=header_len).reshape(rows, cols)
@@ -354,4 +364,4 @@ def load_features(path, num_items: int, modality_id: str) -> ModalityFeatures:
         raise DataFormatError(f"{path}: cannot shape {rows} x {cols} features: {exc}") from exc
     if not np.all(np.isfinite(mat)):
         raise DataFormatError(f"{path}: non-finite feature values")
-    return ModalityFeatures(modality_id=modality_id, matrix=mat.astype(np.float64))
+    return ModalityFeatures(matrix=mat.astype(np.float64))

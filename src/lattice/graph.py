@@ -39,7 +39,7 @@ NORM_EPS = 1e-12
 _BLOCK_BYTES = 8 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseGraph:
     """Directed weighted graph held as one scipy CSR with non-negative weights.
 
@@ -47,14 +47,15 @@ class SparseGraph:
     indptr, indices and values are the arrays of csr itself; the index dtype
     is the one scipy picks for the graph's size.  The constructor and
     from_scipy validate their input; graphs built inside this module hold
-    the invariants by construction and skip the check.
+    the invariants by construction and skip the check.  Graphs compare and
+    hash by identity.
     """
 
     num_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
-    csr: sp.csr_matrix = field(init=False, repr=False, compare=False)
+    csr: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
         indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
@@ -105,17 +106,13 @@ class SparseGraph:
         )
 
     @classmethod
-    def from_scipy(cls, matrix: sp.spmatrix, num_nodes: int | None = None) -> "SparseGraph":
-        csr = sp.csr_matrix(matrix, copy=False)
-        if num_nodes is None:
-            if csr.shape[0] != csr.shape[1]:
-                raise ValueError("graph matrix must be square")
-            num_nodes = csr.shape[0]
+    def from_scipy(cls, matrix: sp.spmatrix) -> "SparseGraph":
+        """A graph of a square sparse matrix; the matrix itself is left as it is."""
+        if matrix.shape[0] != matrix.shape[1]:
+            raise ValueError("graph matrix must be square")
+        csr = sp.csr_matrix(matrix, copy=True)
         csr.sort_indices()
-        return cls(num_nodes, csr.indptr, csr.indices, csr.data)
-
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
+        return cls(csr.shape[0], csr.indptr, csr.indices, csr.data)
 
     @property
     def nnz(self) -> int:
@@ -192,18 +189,17 @@ def unit_rows_backward(
     return grad
 
 
-def iter_cosine_rows(
-    features: np.ndarray, chunk_rows: int | None = None
-) -> Iterator[np.ndarray]:
-    """Yield blocks of the clamped cosine matrix, chunk_rows rows at a time.
+def iter_cosine_rows(features: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield blocks of the clamped cosine matrix, consecutive rows at a time.
 
-    By default a block holds as many rows as fit in _BLOCK_BYTES, and at
-    least one.  Only one (chunk_rows x num_items) block is alive at a time.
+    A block holds as many rows as fit in _BLOCK_BYTES, and at least one.
+    Only one block is alive at a time.  The row count of a block can move
+    the last bits of its entries (BLAS picks its kernels by shape), so the
+    layout is fixed here and no caller chooses it.
     """
     unit, _ = unit_rows(features)
     n = unit.shape[0]
-    if chunk_rows is None:
-        chunk_rows = max(1, _BLOCK_BYTES // (unit.itemsize * max(n, 1)))
+    chunk_rows = max(1, _BLOCK_BYTES // (unit.itemsize * max(n, 1)))
     for start in range(0, n, chunk_rows):
         block = unit[start : start + chunk_rows] @ unit.T
         np.maximum(block, 0.0, out=block)

@@ -115,9 +115,6 @@ class ParameterSet(dict):
     def named(self):
         return self.items()
 
-    def names(self) -> list[str]:
-        return list(self)
-
     def copy(self) -> "ParameterSet":
         """A copy that shares no array with this set."""
         return ParameterSet((name, arr.copy()) for name, arr in self.items())
@@ -240,10 +237,9 @@ class ForwardCache:
 
 @dataclass
 class ForwardOutput:
-    """Backend user vectors, backend item vectors, and enhanced item vectors."""
+    """Backend user vectors and enhanced item vectors; a score is their dot product."""
 
     user_vecs: np.ndarray
-    item_vecs: np.ndarray
     enhanced_items: np.ndarray
 
 
@@ -342,7 +338,7 @@ def forward_pass(
     cache = ForwardCache()
     user_vecs, item_vecs = cf_forward(cfg, params, inputs)
     if cfg.variant == "base":
-        return ForwardOutput(user_vecs, item_vecs, item_vecs), cache
+        return ForwardOutput(user_vecs, item_vecs), cache
 
     h_modal = None
     if cfg.uses_projection:
@@ -362,7 +358,7 @@ def forward_pass(
         src = cache.h_layers[-1]
 
     cache.enhance_add, cache.enhance_norms = unit_rows(src)
-    return ForwardOutput(user_vecs, item_vecs, item_vecs + cache.enhance_add), cache
+    return ForwardOutput(user_vecs, item_vecs + cache.enhance_add), cache
 
 
 def forward(

@@ -79,7 +79,7 @@ def clustered_dataset(
         user_labels=[f"u{u}" for u in range(num_users)],
         item_labels=[f"i{i}" for i in range(num_items)],
     )
-    features = {modality: ModalityFeatures(modality_id=modality, matrix=feats)}
+    features = {modality: ModalityFeatures(matrix=feats)}
     return dataset, features
 
 

@@ -14,7 +14,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, TextIO
+from typing import Mapping, TextIO
 
 import numpy as np
 from scipy.special import expit
@@ -393,12 +393,16 @@ class EpochRecord:
 
 @dataclass
 class FitResult:
+    """The best parameters, every epoch's record, and the inputs they were fit on.
+
+    best_epoch is 1-based; the configs are fit's own arguments, so the
+    caller already holds them.
+    """
+
     params: ParameterSet
     history: list
     best_epoch: int
     inputs: ModelInputs
-    model_cfg: ModelConfig
-    train_cfg: TrainConfig
 
 
 def fit(
@@ -408,7 +412,6 @@ def fit(
     features: Mapping[str, ModalityFeatures],
     log_stream: TextIO | None = None,
     inputs: ModelInputs | None = None,
-    evaluate_fn: Callable | None = None,
 ) -> FitResult:
     """Train with per-epoch negative resampling and early stopping.
 
@@ -423,7 +426,6 @@ def fit(
         raise ValueError("training requires a non-empty train partition")
     if inputs is None:
         inputs = build_inputs(model_cfg, split.train, features)
-    eval_fn = evaluate_fn if evaluate_fn is not None else evaluate
 
     rng_init = np.random.default_rng(train_cfg.seed)
     feat_dims = {m: mat.shape[1] for m, mat in inputs.features.items()}
@@ -475,7 +477,7 @@ def fit(
 
         val_recall, val_ndcg = 0.0, 0.0
         if has_valid:
-            report = eval_fn(
+            report = evaluate(
                 params,
                 model_cfg,
                 split,
@@ -520,11 +522,4 @@ def fit(
     if not has_valid:
         best_params = params
 
-    return FitResult(
-        params=best_params,
-        history=history,
-        best_epoch=best_epoch,
-        inputs=inputs,
-        model_cfg=model_cfg,
-        train_cfg=train_cfg,
-    )
+    return FitResult(params=best_params, history=history, best_epoch=best_epoch, inputs=inputs)

@@ -71,7 +71,7 @@ def tiny_instance(variant: str, backend: str):
     for seed in range(200):
         rng = np.random.default_rng(seed)
         feats = {
-            m: ModalityFeatures(m, rng.standard_normal((TINY_ITEMS, d)))
+            m: ModalityFeatures(rng.standard_normal((TINY_ITEMS, d)))
             for m, d in TINY_FEAT_DIMS.items()
         }
         inputs = build_inputs(cfg, dataset, feats)

@@ -243,7 +243,7 @@ def test_criterion_3_graph_pipeline_oracle(report):
         graph, alpha = build_item_graph(cfg, params, inputs)
 
         expected, exp_alpha = dense_mixed_graph(features, params, k, lam)
-        worst_entry = max(worst_entry, np.abs(graph.to_dense() - expected).max())
+        worst_entry = max(worst_entry, np.abs(graph.csr.toarray() - expected).max())
         worst_alpha = max(worst_alpha, abs(float(alpha.sum()) - 1.0))
         np.testing.assert_allclose(alpha, exp_alpha, atol=1e-12)
 
@@ -257,11 +257,11 @@ def test_criterion_3_graph_pipeline_oracle(report):
             ):
                 if g.row_counts().max(initial=0) > k:
                     budgets_ok = False
-                dense = g.to_dense()
+                dense = g.csr.toarray()
                 nonempty = np.abs(dense).sum(axis=1) > 0
                 if not np.all(dense[nonempty, nonempty] > 0):
                     loops_ok = False
-        mixed_dense = graph.to_dense()
+        mixed_dense = graph.csr.toarray()
         nonempty = np.abs(mixed_dense).sum(axis=1) > 0
         if not np.all(mixed_dense[nonempty, nonempty] > 0):
             loops_ok = False

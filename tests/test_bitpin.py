@@ -63,7 +63,7 @@ def _instance():
     )
     (content,) = features.values()
     projection = np.random.default_rng(7).standard_normal((8, 5))
-    features["proj"] = ModalityFeatures("proj", content.matrix @ projection)
+    features["proj"] = ModalityFeatures(content.matrix @ projection)
     return split_cold(dataset, 0.2, seed=3), features
 
 

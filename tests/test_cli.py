@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lattice.cli
 from lattice.cli import main
 from lattice.config import _REQUIRED, SCHEMA, load_run_config, parse_config_text
 from lattice.data import load_interactions, write_features
-from lattice.errors import ConfigError
+from lattice.errors import ConfigError, GradientError
 from lattice.model import VARIANTS, ModelConfig
 from lattice.synthetic import write_clustered_dataset
 from lattice.training import TrainConfig
@@ -655,6 +656,21 @@ class TestSweep:
         assert code == 1
         assert "LATTICE_THREADS" in capsys.readouterr().err
 
+    def test_serial_sweep_reads_the_config_once(self, workspace, tmp_path, monkeypatch):
+        # each point's config is derived from the one main loaded
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return load_run_config(path)
+
+        monkeypatch.setattr(lattice.cli, "load_run_config", counting)
+        monkeypatch.setenv("LATTICE_THREADS", "1")
+        argv = ["sweep", "--config", str(workspace / "run.cfg"), "--out", str(tmp_path / "sw"),
+                "--axis", "k", "--values", "0,3"]
+        assert main(argv) == 0
+        assert len(calls) == 1
+
     def test_parallel_workers_match_serial(self, workspace, tmp_path, monkeypatch):
         serial_out = tmp_path / "serial"
         parallel_out = tmp_path / "parallel"
@@ -714,4 +730,27 @@ class TestAtomicOutputs:
         err = capsys.readouterr().err
         assert err.startswith("error: simulated crash") and err.count("\n") == 1
         assert previous.read_bytes() == b"previous run\n"
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+    def test_failed_train_keeps_previous_run(
+        self, workspace, trained, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        names = ("checkpoint.bin", "train_log.jsonl", "split_manifest.json")
+        for name in names:
+            (out / name).write_bytes((trained / name).read_bytes())
+
+        def failing_fit(model_cfg, train_cfg, split, features, log_stream):
+            log_stream.write('{"epoch": 1}\n')
+            log_stream.flush()
+            raise GradientError("non-finite gradient for parameter user_emb")
+
+        monkeypatch.setattr(lattice.cli, "fit", failing_fit)
+        argv = ["train", "--config", str(workspace / "run.cfg"), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite gradient") and err.count("\n") == 1
+        for name in names:
+            assert (out / name).read_bytes() == (trained / name).read_bytes()
         assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]

@@ -356,12 +356,12 @@ class TestBipartite:
     def test_single_pair(self):
         ds = make_dataset(1, 1, np.array([[0, 0]]))
         g = build_bipartite_graph(ds)
-        np.testing.assert_allclose(g.to_dense(), [[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_allclose(g.csr.toarray(), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_degree_two_weight(self):
         ds = make_dataset(1, 2, np.array([[0, 0], [0, 1]]))
         g = build_bipartite_graph(ds)
-        dense = g.to_dense()
+        dense = g.csr.toarray()
         assert dense[0, 1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
         assert dense[0, 2] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
 
@@ -374,7 +374,7 @@ class TestBipartite:
         rows = sorted(set(rows) | {(u, u) for u in range(6)})
         ds = make_dataset(6, 9, np.array(rows, dtype=np.int64))
         g = build_bipartite_graph(ds)
-        dense = g.to_dense()
+        dense = g.csr.toarray()
         np.testing.assert_allclose(dense, dense.T, atol=0)
         deg_u = np.bincount(ds.pairs[:, 0], minlength=6)
         deg_i = np.bincount(ds.pairs[:, 1], minlength=9)
@@ -385,7 +385,7 @@ class TestBipartite:
     def test_unconnected_item_has_empty_row(self):
         ds = make_dataset(2, 3, np.array([[0, 0], [1, 1]]))
         g = build_bipartite_graph(ds)
-        dense = g.to_dense()
+        dense = g.csr.toarray()
         assert np.all(dense[2 + 2] == 0.0)
         assert np.all(dense[:, 2 + 2] == 0.0)
 
@@ -396,7 +396,6 @@ class TestFeatureIO:
         path = tmp_path / "f.latf"
         write_features(path, mat)
         feats = load_features(path, 5, "img")
-        assert feats.modality_id == "img"
         assert feats.dim == 3
         assert feats.matrix.dtype == np.float64
         np.testing.assert_array_equal(feats.matrix.astype(np.float32), mat)
@@ -432,7 +431,7 @@ class TestFeatureIO:
     def test_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "f.latf"
         write_features(path, np.zeros((3, 2), dtype=np.float32))
-        with pytest.raises(DataFormatError, match="3 feature rows for 4 items"):
+        with pytest.raises(DataFormatError, match="modality 'img' has 3 feature rows for 4 items"):
             load_features(path, 4, "img")
 
     def test_non_finite_rejected_on_write(self, tmp_path):

@@ -194,16 +194,17 @@ def tiny_split():
 
 
 class TestEvaluate:
+    cfg = ModelConfig(backend="mf", variant="base", embed_dim=6)
+
     def run_fit(self, split):
-        cfg = ModelConfig(backend="mf", variant="base", embed_dim=6)
         train_cfg = TrainConfig(batch_size=32, max_epochs=2, patience=5, seed=0)
-        return fit(cfg, train_cfg, split, {})
+        return fit(self.cfg, train_cfg, split, {})
 
     def test_report_shape(self):
         split = tiny_split()
         result = self.run_fit(split)
         report = evaluate(
-            result.params, result.model_cfg, split, {}, "valid", cutoffs=(5, 20)
+            result.params, self.cfg, split, {}, "valid", cutoffs=(5, 20)
         )
         assert report.partition == "valid"
         assert report.cutoffs == (5, 20)
@@ -223,7 +224,7 @@ class TestEvaluate:
                 params.item_emb[i] += 100.0 * params.user_emb[u] / np.linalg.norm(
                     params.user_emb[u]
                 )
-        report = evaluate(params, result.model_cfg, split, {}, "valid")
+        report = evaluate(params, self.cfg, split, {}, "valid")
         # with 15 items and at most 9 excluded the whole pool fits in top 20
         assert report.metrics[20]["recall"] == 1.0
 
@@ -256,7 +257,7 @@ class TestEvaluate:
         ds = make_dataset(2, 20, np.array(rows, dtype=np.int64))
         split = split_warm(ds, seed=0)
         result = self.run_fit(split)
-        report = evaluate(result.params, result.model_cfg, split, {}, "valid")
+        report = evaluate(result.params, self.cfg, split, {}, "valid")
         assert report.num_users_evaluated == 1
 
     def test_empty_partition_rejected(self):
@@ -288,22 +289,22 @@ class TestEvaluate:
         monkeypatch.setattr(lattice.evaluation, "rank_items", recording)
         for partition in ("valid", "test"):
             calls.clear()
-            report = evaluate(result.params, result.model_cfg, split, {}, partition)
+            report = evaluate(result.params, self.cfg, split, {}, partition)
             assert calls == [(3, {})] * report.num_users_evaluated
 
     def test_unknown_partition_rejected(self):
         split = tiny_split()
         result = self.run_fit(split)
         with pytest.raises(ValueError, match="partition"):
-            evaluate(result.params, result.model_cfg, split, {}, "train")
+            evaluate(result.params, self.cfg, split, {}, "train")
 
     def test_bad_cutoffs_rejected(self):
         split = tiny_split()
         result = self.run_fit(split)
         with pytest.raises(ValueError, match="cutoff"):
-            evaluate(result.params, result.model_cfg, split, {}, "valid", cutoffs=())
+            evaluate(result.params, self.cfg, split, {}, "valid", cutoffs=())
         with pytest.raises(ValueError, match="cutoff"):
-            evaluate(result.params, result.model_cfg, split, {}, "valid", cutoffs=(0,))
+            evaluate(result.params, self.cfg, split, {}, "valid", cutoffs=(0,))
 
     def test_report_equals_a_loop_over_the_public_metrics(self):
         # coarse embeddings tie many scores; each user's hits are found once

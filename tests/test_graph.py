@@ -2,6 +2,7 @@
 
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -125,10 +126,22 @@ class TestBoundaryValidation:
 
     def test_from_scipy_sorts_rows_and_checks_node_count(self):
         n, indptr, indices, values = MALFORMED["unsorted row"]
-        g = SparseGraph.from_scipy(sp.csr_matrix((values, indices, indptr), shape=(n, n)))
-        assert g.indices.tolist() == [0, 2]
-        with pytest.raises(ValueError):
-            SparseGraph.from_scipy(sp.identity(2, format="csr"), num_nodes=3)
+        matrix = sp.csr_matrix((np.array([1.0, 2.0]), indices, indptr), shape=(n, n))
+        g = SparseGraph.from_scipy(matrix)
+        assert g.indices.tolist() == [0, 2] and g.values.tolist() == [2.0, 1.0]
+        # the argument keeps its own order
+        assert matrix.indices.tolist() == [2, 0] and matrix.data.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError, match="square"):
+            SparseGraph.from_scipy(sp.csr_matrix(np.ones((2, 3))))
+
+    def test_graphs_compare_and_hash_by_identity(self):
+        g = random_graph(6, 0.4, seed=0)
+        h = SparseGraph(g.num_nodes, g.indptr.copy(), g.indices.copy(), g.values.copy())
+        assert g == g
+        assert g != h
+        assert len({g, h}) == 2
+        assert g in [h, g]
+        assert h not in [g]
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +218,13 @@ class TestCosine:
         assert cosine_rows(feats)[0].tolist() == [0.0, 0.0]
         assert cosine_rows(feats)[1][0] == 0.0
 
-    def test_chunked_rows_match_dense(self, rng):
+    def test_chunked_rows_match_dense(self, rng, monkeypatch):
         feats = rng.standard_normal((23, 7))
         dense = dense_cosine(feats)
-        stacked = np.vstack(list(iter_cosine_rows(feats, chunk_rows=5)))
-        np.testing.assert_allclose(stacked, dense, atol=1e-12)
+        monkeypatch.setattr(graph, "_BLOCK_BYTES", 5 * 8 * 23)  # 5-row blocks
+        blocks = list(iter_cosine_rows(feats))
+        assert [b.shape[0] for b in blocks] == [5, 5, 5, 5, 3]
+        np.testing.assert_allclose(np.vstack(blocks), dense, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +238,11 @@ class TestTopK:
 
     def test_keeps_largest_entries(self):
         g = self.mk([[0.9, 0.5, 0.7, 0.1]] * 4, 2)
-        assert g.to_dense()[0].tolist() == [0.9, 0.0, 0.7, 0.0]
+        assert g.csr.toarray()[0].tolist() == [0.9, 0.0, 0.7, 0.0]
 
     def test_tie_resolves_to_smaller_column(self):
         g = self.mk([[0.5, 0.5, 0.2], [0.2, 0.5, 0.5], [0.5, 0.2, 0.5]], 1)
-        dense = g.to_dense()
+        dense = g.csr.toarray()
         assert dense[0].tolist() == [0.5, 0.0, 0.0]
         assert dense[1].tolist() == [0.0, 0.5, 0.0]
         assert dense[2].tolist() == [0.5, 0.0, 0.0]
@@ -248,7 +263,7 @@ class TestTopK:
         for _ in range(10):
             sim = np.maximum(rng.standard_normal((12, 12)), 0.0)
             k = int(rng.integers(1, 6))
-            got = topk_sparsify([sim], k, 12).to_dense()
+            got = topk_sparsify([sim], k, 12).csr.toarray()
             np.testing.assert_allclose(got, dense_topk(sim, k), atol=0)
 
     def test_support_invariant_under_monotone_value_transform(self, rng):
@@ -299,8 +314,9 @@ def test_topk_matches_stable_argsort_reference(case):
     # than k positive similarities
     feats, k = case
     n = feats.shape[0]
-    got = topk_sparsify(iter_cosine_rows(feats, chunk_rows=37), k, n)
-    sim = np.vstack(list(iter_cosine_rows(feats, chunk_rows=37)))
+    with mock.patch.object(graph, "_BLOCK_BYTES", 37 * 8 * n):  # 37-row blocks
+        got = topk_sparsify(iter_cosine_rows(feats), k, n)
+        sim = np.vstack(list(iter_cosine_rows(feats)))
     indptr, indices, values = stable_topk_reference(sim, k)
     assert np.array_equal(got.indptr, indptr)
     assert np.array_equal(got.indices, indices)
@@ -356,14 +372,14 @@ class TestNormalize:
         g = SparseGraph.from_scipy(
             sp.csr_matrix(np.ones((2, 2)))
         )
-        np.testing.assert_allclose(normalize_sym(g).to_dense(), np.full((2, 2), 0.5))
+        np.testing.assert_allclose(normalize_sym(g).csr.toarray(), np.full((2, 2), 0.5))
 
     def test_single_edge_row(self):
         dense = np.array([[1.0, 0.0], [0.0, 0.0]])
         g = SparseGraph.from_scipy(
             sp.csr_matrix(dense)
         )
-        np.testing.assert_allclose(normalize_sym(g).to_dense(), dense)
+        np.testing.assert_allclose(normalize_sym(g).csr.toarray(), dense)
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(10):
@@ -373,14 +389,14 @@ class TestNormalize:
                 sp.csr_matrix(dense)
             )
             np.testing.assert_allclose(
-                normalize_sym(g).to_dense(), dense_normalize(dense), atol=1e-12
+                normalize_sym(g).csr.toarray(), dense_normalize(dense), atol=1e-12
             )
 
     def test_invariant_to_uniform_weight_scaling(self, rng):
         dense = np.maximum(rng.standard_normal((8, 8)), 0.0)
         a = normalize_sym(SparseGraph.from_scipy(sp.csr_matrix(dense)))
         b = normalize_sym(SparseGraph.from_scipy(sp.csr_matrix(dense * 7.25)))
-        np.testing.assert_allclose(a.to_dense(), b.to_dense(), atol=1e-12)
+        np.testing.assert_allclose(a.csr.toarray(), b.csr.toarray(), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +486,16 @@ class TestInitialGraph:
     def test_identical_rows_full_k(self):
         feats = np.tile([[1.0, 2.0, 3.0]], (3, 1))
         g = build_initial_graph(feats, 3)
-        np.testing.assert_allclose(g.to_dense(), np.full((3, 3), 1.0 / 3.0), atol=1e-12)
+        np.testing.assert_allclose(g.csr.toarray(), np.full((3, 3), 1.0 / 3.0), atol=1e-12)
 
     def test_k_one_keeps_self_loops(self, rng):
         feats = rng.standard_normal((6, 4))
         g = build_initial_graph(feats, 1)
-        np.testing.assert_allclose(g.to_dense(), np.eye(6), atol=1e-12)
+        np.testing.assert_allclose(g.csr.toarray(), np.eye(6), atol=1e-12)
 
     def test_matches_dense_oracle(self, rng):
         feats = rng.standard_normal((20, 5))
-        got = build_initial_graph(feats, 5).to_dense()
+        got = build_initial_graph(feats, 5).csr.toarray()
         np.testing.assert_allclose(got, dense_modality_graph(feats, 5), atol=1e-10)
 
     def test_row_budget_respected(self, rng):
@@ -490,8 +506,8 @@ class TestInitialGraph:
     def test_permuting_items_permutes_graph(self, rng):
         feats = rng.standard_normal((11, 4))
         perm = rng.permutation(11)
-        base = build_initial_graph(feats, 3).to_dense()
-        permuted = build_initial_graph(feats[perm], 3).to_dense()
+        base = build_initial_graph(feats, 3).csr.toarray()
+        permuted = build_initial_graph(feats[perm], 3).csr.toarray()
         np.testing.assert_allclose(permuted, base[np.ix_(perm, perm)], atol=1e-12)
 
 
@@ -524,8 +540,8 @@ class TestLearnedGraph:
     def test_identity_transform_matches_initial(self, rng):
         feats = rng.standard_normal((9, 4))
         transformed = transform_features(feats, np.eye(4), np.zeros(4))
-        a = build_initial_graph(feats, 3).to_dense()
-        b = build_initial_graph(transformed, 3).to_dense()
+        a = build_initial_graph(feats, 3).csr.toarray()
+        b = build_initial_graph(transformed, 3).csr.toarray()
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_k_zero_empty(self, rng):
@@ -538,20 +554,20 @@ class TestFuseAndMix:
         initial = build_initial_graph(feats, 2)
         learned = build_initial_graph(rng.standard_normal((7, 3)), 2)
         fused = fuse_skip(initial, learned, 1.0)
-        np.testing.assert_allclose(fused.to_dense(), initial.to_dense(), atol=1e-15)
+        np.testing.assert_allclose(fused.csr.toarray(), initial.csr.toarray(), atol=1e-15)
 
     def test_lambda_zero_keeps_learned(self, rng):
         initial = build_initial_graph(rng.standard_normal((7, 3)), 2)
         learned = build_initial_graph(rng.standard_normal((7, 3)), 2)
         fused = fuse_skip(initial, learned, 0.0)
-        np.testing.assert_allclose(fused.to_dense(), learned.to_dense(), atol=1e-15)
+        np.testing.assert_allclose(fused.csr.toarray(), learned.csr.toarray(), atol=1e-15)
 
     def test_blend_entrywise(self, rng):
         initial = build_initial_graph(rng.standard_normal((6, 3)), 2)
         learned = build_initial_graph(rng.standard_normal((6, 3)), 2)
         fused = fuse_skip(initial, learned, 0.3)
-        want = 0.3 * initial.to_dense() + 0.7 * learned.to_dense()
-        np.testing.assert_allclose(fused.to_dense(), want, atol=1e-14)
+        want = 0.3 * initial.csr.toarray() + 0.7 * learned.csr.toarray()
+        np.testing.assert_allclose(fused.csr.toarray(), want, atol=1e-14)
 
     def test_node_count_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -569,15 +585,15 @@ class TestFuseAndMix:
     def test_single_modality_mix_is_identity(self, rng):
         g = build_initial_graph(rng.standard_normal((6, 3)), 2)
         mixed, alpha = aggregate_modalities([g], np.zeros(1))
-        np.testing.assert_allclose(mixed.to_dense(), g.to_dense(), atol=1e-15)
+        np.testing.assert_allclose(mixed.csr.toarray(), g.csr.toarray(), atol=1e-15)
         assert alpha.tolist() == [1.0]
 
     def test_equal_logits_average(self, rng):
         a = build_initial_graph(rng.standard_normal((6, 3)), 2)
         b = build_initial_graph(rng.standard_normal((6, 3)), 2)
         mixed, alpha = aggregate_modalities([a, b], np.zeros(2))
-        want = 0.5 * a.to_dense() + 0.5 * b.to_dense()
-        np.testing.assert_allclose(mixed.to_dense(), want, atol=1e-14)
+        want = 0.5 * a.csr.toarray() + 0.5 * b.csr.toarray()
+        np.testing.assert_allclose(mixed.csr.toarray(), want, atol=1e-14)
         np.testing.assert_allclose(alpha, [0.5, 0.5], atol=1e-15)
 
     def test_empty_modality_list_rejected(self):
@@ -592,8 +608,8 @@ class TestFullPipelineAgainstOracle:
             k = int(rng.integers(1, 5))
             lam = float(rng.uniform(0.0, 1.0))
             feats = {
-                "img": ModalityFeatures("img", rng.standard_normal((n, 6))),
-                "txt": ModalityFeatures("txt", rng.standard_normal((n, 4))),
+                "img": ModalityFeatures(rng.standard_normal((n, 6))),
+                "txt": ModalityFeatures(rng.standard_normal((n, 4))),
             }
             cfg = ModelConfig(
                 variant="full", embed_dim=5, hidden_dim=3, k=k, fuse_lambda=lam,
@@ -609,7 +625,7 @@ class TestFullPipelineAgainstOracle:
             params.logits[:] = rng.standard_normal(2)
             graph, alpha = build_item_graph(cfg, params, inputs)
             want, want_alpha = dense_mixed_graph(inputs.features, params, k, lam)
-            np.testing.assert_allclose(graph.to_dense(), want, atol=1e-10)
+            np.testing.assert_allclose(graph.csr.toarray(), want, atol=1e-10)
             np.testing.assert_allclose(alpha, want_alpha, atol=1e-12)
             assert abs(alpha.sum() - 1.0) <= 1e-12
 
@@ -625,7 +641,7 @@ class TestGraphDump:
         np.testing.assert_allclose(wgt, g.values, rtol=0, atol=0)
         import json
 
-        assert json.loads(open(js).read())["k"] == 3
+        assert json.loads(Path(js).read_text(encoding="utf-8"))["k"] == 3
 
     def test_bad_field_reports_line(self, tmp_path):
         path = tmp_path / "graph.tsv"

@@ -103,7 +103,7 @@ class TestBackends:
     def test_lightgcn_matches_dense_oracle(self):
         cfg, inputs, params, _ = tiny_instance("base", "lightgcn")
         users, items = cf_forward(cfg, params, inputs)
-        adj = inputs.bipartite.to_dense()
+        adj = inputs.bipartite.csr.toarray()
         z = np.concatenate([params.user_emb, params.item_emb], axis=0)
         acc = z.copy()
         cur = z
@@ -190,7 +190,7 @@ class TestEnhancement:
 
 def triple_score(user_vecs, enhanced, u, i):
     """Training's score of user u for item i, as the positive of one triple."""
-    out = ForwardOutput(user_vecs, enhanced, enhanced)
+    out = ForwardOutput(user_vecs, enhanced)
     pos_s, _ = _triple_scores(out, np.array([u]), np.array([i]), np.array([i]))
     return pos_s[0]
 
@@ -271,7 +271,7 @@ class TestForwardVariants:
         if backend == "mf":
             users, items = params.user_emb, params.item_emb
         else:
-            adj = inputs.bipartite.to_dense()
+            adj = inputs.bipartite.csr.toarray()
             z = np.concatenate([params.user_emb, params.item_emb], axis=0)
             acc = z.copy()
             cur = z
@@ -311,7 +311,7 @@ class TestForwardVariants:
             _, grads, cache = compute_gradients(cfg, TrainConfig(), params, inputs, batch)
             initial = [inputs.initial_graphs[m] for m in sorted(inputs.features)]
             expected, _ = aggregate_modalities(initial, params.logits)
-            np.testing.assert_array_equal(cache.graph.to_dense(), expected.to_dense())
+            np.testing.assert_array_equal(cache.graph.csr.toarray(), expected.csr.toarray())
             for m in params.modalities:
                 for name in (f"transform_w.{m}", f"transform_b.{m}"):
                     assert grads[name].shape == params.get(name).shape
@@ -359,7 +359,7 @@ class TestCheckpoints:
         loaded_cfg, loaded, meta = load_checkpoint(path)
         assert loaded_cfg == cfg
         assert meta == {"note": "roundtrip"}
-        assert loaded.names() == params.names()
+        assert list(loaded) == list(params)
         for name, arr in params.named():
             got = loaded.get(name)
             assert got.dtype == np.float64
@@ -374,7 +374,7 @@ class TestCheckpoints:
         _, loaded, _ = load_checkpoint(path)
         assert loaded.logits is None
         assert loaded.projection is None
-        assert loaded.names() == ["user_emb", "item_emb"]
+        assert list(loaded) == ["user_emb", "item_emb"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "ckpt.bin"

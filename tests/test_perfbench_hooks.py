@@ -56,7 +56,7 @@ def test_cf_forward_takes_the_three_arguments_perfbench_passes():
 def test_parameter_set_exposes_what_perfbench_reads():
     cfg = ModelConfig(backend="mf", variant="full", embed_dim=4, hidden_dim=3)
     params = init_parameters(cfg, 5, 6, {"content": 7}, np.random.default_rng(0))
-    assert [name for name, _ in params.named()] == params.names()
+    assert [name for name, _ in params.named()] == list(params)
     assert params.user_emb is params["user_emb"]
     assert params.item_emb is params["item_emb"]
     assert params.transform_w["content"] is params["transform_w.content"]

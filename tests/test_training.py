@@ -10,6 +10,7 @@ from conftest import (
     gradient_agreement,
     tiny_instance,
 )
+import lattice.training
 from lattice.data import make_dataset, split_warm
 from lattice.evaluation import EvalReport, evaluate
 from lattice.model import BACKENDS, VARIANTS, ModelConfig, parameter_shapes
@@ -76,7 +77,7 @@ class TestInitParameters:
         dims = {"txt": 2, "img": 7}
         params = init_parameters(cfg, 3, 5, dims, np.random.default_rng(0))
         shapes = parameter_shapes(cfg, 3, 5, dims)
-        assert params.names() == list(shapes)
+        assert list(params) == list(shapes)
         assert [arr.shape for arr in params.values()] == list(shapes.values())
         assert all(arr.dtype == np.float64 for arr in params.values())
 
@@ -289,57 +290,45 @@ class TestFitLoop:
 
         return fake_evaluate
 
-    def test_patience_stops_and_restores_best(self):
+    def test_patience_stops_and_restores_best(self, monkeypatch):
         split = ladder_split()
         cfg = ModelConfig(backend="mf", variant="base", embed_dim=4)
         train_cfg = TrainConfig(
             learning_rate=0.05, batch_size=16, max_epochs=10, patience=1, seed=0
         )
         calls = []
-        result = fit(
-            cfg,
-            train_cfg,
-            split,
-            {},
-            evaluate_fn=self.scripted_eval([0.5, 0.4, 0.3, 0.2], calls),
-        )
+        fake = self.scripted_eval([0.5, 0.4, 0.3, 0.2], calls)
+        monkeypatch.setattr(lattice.training, "evaluate", fake)
+        result = fit(cfg, train_cfg, split, {})
         assert len(result.history) == 2
         assert result.best_epoch == 1
         np.testing.assert_array_equal(result.params.user_emb, calls[0])
 
-    def test_patience_counter_resets_on_improvement(self):
+    def test_patience_counter_resets_on_improvement(self, monkeypatch):
         split = ladder_split()
         cfg = ModelConfig(backend="mf", variant="base", embed_dim=4)
         train_cfg = TrainConfig(
             learning_rate=0.05, batch_size=16, max_epochs=10, patience=2, seed=0
         )
         calls = []
-        result = fit(
-            cfg,
-            train_cfg,
-            split,
-            {},
-            evaluate_fn=self.scripted_eval([0.1, 0.08, 0.2, 0.15, 0.1, 0.05], calls),
-        )
+        fake = self.scripted_eval([0.1, 0.08, 0.2, 0.15, 0.1, 0.05], calls)
+        monkeypatch.setattr(lattice.training, "evaluate", fake)
+        result = fit(cfg, train_cfg, split, {})
         # dip at epoch 2 is forgiven, the rise at epoch 3 resets the counter
         assert len(result.history) == 5
         assert result.best_epoch == 3
         np.testing.assert_array_equal(result.params.user_emb, calls[2])
 
-    def test_tie_does_not_count_as_improvement(self):
+    def test_tie_does_not_count_as_improvement(self, monkeypatch):
         split = ladder_split()
         cfg = ModelConfig(backend="mf", variant="base", embed_dim=4)
         train_cfg = TrainConfig(
             learning_rate=0.05, batch_size=16, max_epochs=10, patience=2, seed=0
         )
         calls = []
-        result = fit(
-            cfg,
-            train_cfg,
-            split,
-            {},
-            evaluate_fn=self.scripted_eval([0.3, 0.3, 0.3, 0.3], calls),
-        )
+        fake = self.scripted_eval([0.3, 0.3, 0.3, 0.3], calls)
+        monkeypatch.setattr(lattice.training, "evaluate", fake)
+        result = fit(cfg, train_cfg, split, {})
         assert len(result.history) == 3
         assert result.best_epoch == 1
 
