@@ -18,6 +18,10 @@ leaving a handful of candidates per row for the exact cut.
 Each differentiable stage's backward sits beside its forward and shares its
 guards: unit_rows_backward, normalize_sym_backward, and knn_cosine_backward,
 which treats the kept top-k support as a constant.
+
+Every stage builds its output through the one SparseGraph constructor, so
+every graph that training and evaluation see has been checked: scipy's CSR
+constructor and its canonical-format scan do most of the work.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataFormatError
-
 # Row norms below this are treated as zero (cosine guard, degree guard).
 NORM_EPS = 1e-12
 
@@ -43,12 +45,11 @@ _BLOCK_BYTES = 8 << 20
 class SparseGraph:
     """Directed weighted graph held as one scipy CSR with non-negative weights.
 
-    Column indices are sorted within each row and hold no duplicates.
-    indptr, indices and values are the arrays of csr itself; the index dtype
-    is the one scipy picks for the graph's size.  The constructor and
-    from_scipy validate their input; graphs built inside this module hold
-    the invariants by construction and skip the check.  Graphs compare and
-    hash by identity.
+    Column indices are sorted within each row and hold no duplicates, and
+    weights are finite.  Every graph is checked when it is built, the outputs
+    of the pipeline stages included.  indptr, indices and values are the
+    arrays of csr itself; the index dtype is the one scipy picks for the
+    graph's size.  Graphs compare and hash by identity.
     """
 
     num_nodes: int
@@ -58,39 +59,25 @@ class SparseGraph:
     csr: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(self.indices, dtype=np.int64)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if indptr.shape != (self.num_nodes + 1,):
-            raise ValueError("indptr length must be num_nodes + 1")
-        if indptr[0] != 0 or indptr[-1] != indices.size:
-            raise ValueError("indptr endpoints do not match indices")
-        if np.any(np.diff(indptr) < 0):
-            raise ValueError("indptr must be non-decreasing")
-        if indices.shape != values.shape:
-            raise ValueError("indices and values must align")
-        if indices.size:
-            if indices.min() < 0 or indices.max() >= self.num_nodes:
+        n = self.num_nodes
+        values = np.asarray(self.values, dtype=np.float64)
+        # scipy rejects an indptr of the wrong length, not starting at 0 or
+        # ending past indices, and indices and values of unequal length
+        csr = sp.csr_matrix((values, self.indices, self.indptr), shape=(n, n))
+        if csr.nnz != len(self.indices):
+            # scipy silently drops the entries past indptr's end
+            raise ValueError("indptr must end at the number of indices")
+        if csr.nnz:
+            if csr.indices.min() < 0 or csr.indices.max() >= n:
                 raise ValueError("column index out of range")
-            # Sorted, duplicate-free columns within each row: the diff is
-            # positive everywhere except at row boundaries.
-            interior = np.ones(indices.size, dtype=bool)
-            boundaries = indptr[1:-1]
-            interior[boundaries[boundaries < indices.size]] = False
-            bad = (np.diff(indices) <= 0) & interior[1:]
-            if np.any(bad):
-                raise ValueError("row columns must be strictly increasing")
-            if not np.all(np.isfinite(values)):
+            if not np.all(np.isfinite(csr.data)):
                 raise ValueError("graph weights must be finite")
-            if values.min() < 0.0:
+            if csr.data.min() < 0.0:
                 raise ValueError("graph weights must be non-negative")
-        self._hold(indptr, indices, values)
-
-    def _hold(self, indptr, indices, values) -> None:
-        """Build the one CSR; indptr, indices and values become its arrays."""
-        csr = sp.csr_matrix(
-            (values, indices, indptr), shape=(self.num_nodes, self.num_nodes)
-        )
+        # indptr ends at nnz, so an entry above it is out of order; checked
+        # first because scipy's canonical scan would read past indices there
+        if csr.indptr.max() > csr.nnz or not csr.has_canonical_format:
+            raise ValueError("indptr must not decrease; row columns must increase")
         object.__setattr__(self, "csr", csr)
         object.__setattr__(self, "indptr", csr.indptr)
         object.__setattr__(self, "indices", csr.indices)
@@ -98,7 +85,7 @@ class SparseGraph:
 
     @classmethod
     def empty(cls, num_nodes: int) -> "SparseGraph":
-        return _trusted(
+        return cls(
             num_nodes,
             np.zeros(num_nodes + 1, dtype=np.int64),
             np.empty(0, dtype=np.int64),
@@ -129,14 +116,6 @@ class SparseGraph:
     def edge_rows(self) -> np.ndarray:
         """Row index of every stored entry, aligned with indices/values."""
         return np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.row_counts())
-
-
-def _trusted(num_nodes: int, indptr, indices, values) -> SparseGraph:
-    """A graph whose invariants hold by construction, built without validation."""
-    graph = object.__new__(SparseGraph)
-    object.__setattr__(graph, "num_nodes", num_nodes)
-    graph._hold(indptr, indices, values)
-    return graph
 
 
 def values_at(graph: SparseGraph, values: np.ndarray, target: SparseGraph) -> np.ndarray:
@@ -222,26 +201,19 @@ def topk_sparsify(
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    cols_per_block: list[np.ndarray] = []
-    vals_per_block: list[np.ndarray] = []
-    counts_per_block: list[np.ndarray] = []
+    # (kept entries per row, columns, values) per block; the leading 0 of the
+    # seed part makes the cumulative counts the indptr
+    parts = [(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
     row_index = 0
     for block in sim_blocks:
         if row_index + block.shape[0] > num_nodes:
             raise ValueError("more similarity rows than nodes")
-        counts, cols, vals = _block_topk(block, k)
-        counts_per_block.append(counts)
-        cols_per_block.append(cols)
-        vals_per_block.append(vals)
+        parts.append(_block_topk(block, k))
         row_index += block.shape[0]
     if row_index != num_nodes:
         raise ValueError(f"expected {num_nodes} similarity rows, got {row_index}")
-    if not counts_per_block:
-        return SparseGraph.empty(num_nodes)
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts_per_block))])
-    return _trusted(
-        num_nodes, indptr, np.concatenate(cols_per_block), np.concatenate(vals_per_block)
-    )
+    counts, cols, vals = (np.concatenate(arrays) for arrays in zip(*parts))
+    return SparseGraph(num_nodes, np.cumsum(counts), cols, vals)
 
 
 # Columns per group of the top-k bound.  The group maxima cost one pass over
@@ -311,7 +283,7 @@ def normalize_sym(graph: SparseGraph) -> SparseGraph:
     """
     _, inv_sqrt, rows = _degree_scales(graph)
     values = graph.values * inv_sqrt[rows] * inv_sqrt[graph.indices]
-    return prune_zeros(_trusted(graph.num_nodes, graph.indptr, graph.indices, values))
+    return prune_zeros(SparseGraph(graph.num_nodes, graph.indptr, graph.indices, values))
 
 
 def _degree_scales(graph: SparseGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -347,7 +319,7 @@ def prune_zeros(graph: SparseGraph) -> SparseGraph:
         return graph
     keep = graph.values > 0.0
     counts = np.bincount(graph.edge_rows()[keep], minlength=graph.num_nodes)
-    return _trusted(
+    return SparseGraph(
         graph.num_nodes,
         np.concatenate([[0], np.cumsum(counts)]),
         graph.indices[keep],
@@ -403,7 +375,7 @@ def fuse_skip(initial: SparseGraph, learned: SparseGraph, lam: float) -> SparseG
     if initial.num_nodes != learned.num_nodes:
         raise ValueError("graphs must share the node count")
     fused = lam * initial.csr + (1.0 - lam) * learned.csr
-    return _trusted(initial.num_nodes, fused.indptr, fused.indices, fused.data)
+    return SparseGraph(initial.num_nodes, fused.indptr, fused.indices, fused.data)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -432,7 +404,7 @@ def aggregate_modalities(
     combined = weights[0] * graphs[0].csr
     for w, g in zip(weights[1:], graphs[1:]):
         combined = combined + w * g.csr
-    return _trusted(nodes, combined.indptr, combined.indices, combined.data), weights
+    return SparseGraph(nodes, combined.indptr, combined.indices, combined.data), weights
 
 
 def write_graph_dump(
@@ -455,37 +427,3 @@ def write_graph_dump(
     write_atomic(json_path, [sidecar])
     return tsv_path, json_path
 
-
-def read_graph_dump(tsv_path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a graph dump TSV back as (src, dst, weight) arrays.
-
-    Malformed content raises DataFormatError naming the line.
-    """
-    try:
-        with open(tsv_path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"cannot read graph dump {tsv_path}: {exc}") from exc
-    if lines[0] != "src\tdst\tweight":
-        raise DataFormatError(f"{tsv_path}: unexpected header {lines[0]!r}")
-    src, dst, wgt = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataFormatError(f"{tsv_path}: line {lineno}: expected 3 fields")
-        try:
-            s, d, w = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise DataFormatError(f"{tsv_path}: line {lineno}: {exc}") from exc
-        if not (0 <= s < 2**63 and 0 <= d < 2**63):
-            raise DataFormatError(f"{tsv_path}: line {lineno}: node id out of range")
-        src.append(s)
-        dst.append(d)
-        wgt.append(w)
-    return (
-        np.asarray(src, dtype=np.int64),
-        np.asarray(dst, dtype=np.int64),
-        np.asarray(wgt, dtype=np.float64),
-    )

@@ -361,13 +361,8 @@ def forward_pass(
     return ForwardOutput(user_vecs, item_vecs + cache.enhance_add), cache
 
 
-def forward(
-    cfg: ModelConfig,
-    params: ParameterSet,
-    inputs: ModelInputs,
-    graphs: tuple[SparseGraph, np.ndarray] | None = None,
-) -> ForwardOutput:
-    return forward_pass(cfg, params, inputs, graphs)[0]
+def forward(cfg: ModelConfig, params: ParameterSet, inputs: ModelInputs) -> ForwardOutput:
+    return forward_pass(cfg, params, inputs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +375,16 @@ def save_checkpoint(
     params: ParameterSet,
     meta: Mapping[str, object] | None = None,
 ) -> None:
-    """Write config, shapes, and parameters; block order follows params."""
+    """Write config, shapes, and parameters; block order follows params.
+
+    A parameter that is not finite in float32, NaN or beyond its range,
+    raises CheckpointError before anything is written.
+    """
+    with np.errstate(over="ignore"):
+        blocks = [np.ascontiguousarray(arr, dtype="<f4") for arr in params.values()]
+    for name, block in zip(params, blocks):
+        if not np.all(np.isfinite(block)):
+            raise CheckpointError(f"{path}: parameter {name} is not finite in float32")
     header = {
         "config": dataclasses.asdict(cfg),
         "num_users": int(params.user_emb.shape[0]),
@@ -393,8 +397,7 @@ def save_checkpoint(
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     prefix = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob
-    blocks = (np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in params.values())
-    write_atomic(path, itertools.chain([prefix], blocks))
+    write_atomic(path, itertools.chain([prefix], (block.tobytes() for block in blocks)))
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ParameterSet, dict]:
@@ -443,6 +446,9 @@ def load_checkpoint(path) -> tuple[ModelConfig, ParameterSet, dict]:
             arr = np.frombuffer(blob[offset:end], dtype="<f4").reshape(shape)
         except ValueError as exc:
             raise CheckpointError(f"{path}: bad parameter block {name}: {exc}") from exc
+        # checked before the cast, which warns on a signalling NaN
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{path}: parameter block {name} is not finite")
         params[name] = arr.astype(np.float64)
         offset = end
     if offset != len(blob):

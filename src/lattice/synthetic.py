@@ -22,18 +22,19 @@ from .data import (
 
 DEFAULT_MODALITY = "content"
 
+# Standard deviation of the Gaussian noise around each item's centroid.
+NOISE_SCALE = 0.1
+
 
 def clustered_dataset(
     num_clusters: int = 2,
     items_per_cluster: int = 100,
     feat_dim: int = 16,
-    noise_scale: float = 0.1,
     num_users: int = 200,
     positives_per_user: int = 10,
     seed: int = 0,
-    modality: str = DEFAULT_MODALITY,
 ) -> tuple[InteractionDataset, dict]:
-    """Build the clustered interactions plus one feature modality.
+    """Build the clustered interactions plus the one feature modality, DEFAULT_MODALITY.
 
     Cluster centroids are +-1 sign vectors redrawn until every pair differs
     in at least feat_dim // 3 coordinates, keeping clusters well separated.
@@ -58,7 +59,7 @@ def clustered_dataset(
 
     num_items = num_clusters * items_per_cluster
     clusters = np.arange(num_items) // items_per_cluster
-    feats = centroids[clusters] + noise_scale * rng.standard_normal(
+    feats = centroids[clusters] + NOISE_SCALE * rng.standard_normal(
         (num_items, feat_dim)
     )
 
@@ -79,7 +80,7 @@ def clustered_dataset(
         user_labels=[f"u{u}" for u in range(num_users)],
         item_labels=[f"i{i}" for i in range(num_items)],
     )
-    features = {modality: ModalityFeatures(matrix=feats)}
+    features = {DEFAULT_MODALITY: ModalityFeatures(matrix=feats)}
     return dataset, features
 
 

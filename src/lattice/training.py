@@ -162,10 +162,9 @@ def batch_loss(
     params: ParameterSet,
     inputs: ModelInputs,
     batch,
-    graphs: tuple | None = None,
 ) -> float:
     """Ranking loss plus embedding penalty of one batch, forward only."""
-    return _objective(cfg, train_cfg, params, inputs, batch, graphs)[0]
+    return _objective(cfg, train_cfg, params, inputs, batch, None)[0]
 
 
 # ---------------------------------------------------------------------------

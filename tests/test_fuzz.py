@@ -18,7 +18,6 @@ from conftest import tiny_instance
 from lattice.config import SCHEMA, parse_config_text
 from lattice.data import load_features, load_interactions, write_features
 from lattice.errors import CheckpointError, ConfigError, DataFormatError
-from lattice.graph import build_initial_graph, read_graph_dump, write_graph_dump
 from lattice.model import load_checkpoint, save_checkpoint
 
 FEATURE_ROWS = 3
@@ -53,11 +52,8 @@ def valid_file(kind: str) -> bytes:
             save_checkpoint(path, cfg, params, meta={"note": "fuzz"})
         elif kind == "features":
             write_features(path, np.arange(12.0).reshape(FEATURE_ROWS, 4))
-        elif kind == "interactions":
-            path.write_text("u1\ti1\nu1\ti2\nu2\ti1\n", encoding="utf-8")
         else:
-            graph = build_initial_graph(np.random.default_rng(0).standard_normal((6, 3)), 2)
-            path = Path(write_graph_dump(graph, path, {"k": 2})[0])
+            path.write_text("u1\ti1\nu1\ti2\nu2\ti1\n", encoding="utf-8")
         return path.read_bytes()
 
 
@@ -78,7 +74,6 @@ LOADERS = {
     "checkpoint": (load_checkpoint, CheckpointError),
     "features": (lambda p: load_features(p, FEATURE_ROWS, "img"), DataFormatError),
     "interactions": (load_interactions, DataFormatError),
-    "graph": (read_graph_dump, DataFormatError),
 }
 
 
@@ -89,6 +84,15 @@ def test_corrupted_file_raises_only_format_error(kind, fuzz_path, data):
     blob = data.draw(corruptions(valid_file(kind)))
     load, error = LOADERS[kind]
     _loads_or_raises(fuzz_path, blob, load, error)
+
+
+def test_checkpoint_flipped_to_signalling_nan_raises_checkpoint_error(fuzz_path):
+    # a falsifying example of the fuzz test above: the two flips turn one
+    # float32 parameter into a signalling NaN, whose cast to float64 warns
+    blob = _flip(valid_file("checkpoint"), [(665, 0), (665, 6)])
+    fuzz_path.write_bytes(blob)
+    with pytest.raises(CheckpointError, match="not finite"):
+        load_checkpoint(fuzz_path)
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,16 +110,6 @@ def test_feature_header_with_any_shape_raises_only_format_error(
         fuzz_path, blob, lambda p: load_features(p, num_items, "img"),
         DataFormatError,
     )
-
-
-TSV_CHARS = "0123456789-.e\tx\n"
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.text(alphabet=TSV_CHARS, max_size=200))
-def test_graph_dump_lines_raise_only_format_error(fuzz_path, body):
-    blob = ("src\tdst\tweight\n" + body).encode("utf-8")
-    _loads_or_raises(fuzz_path, blob, read_graph_dump, DataFormatError)
 
 
 JSON_VALUES = ["0", "1", "-1", "0.5", "1e400", "NaN", "true", "null", '"mf"', '"full"',

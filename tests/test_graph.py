@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 
 from lattice import graph
 from lattice.data import ModalityFeatures, make_dataset
-from lattice.errors import DataFormatError
 from lattice.graph import (
     SparseGraph,
     aggregate_modalities,
@@ -24,7 +23,6 @@ from lattice.graph import (
     knn_cosine_graph,
     normalize_sym,
     normalize_sym_backward,
-    read_graph_dump,
     softmax,
     topk_sparsify,
     transform_features,
@@ -100,6 +98,9 @@ MALFORMED = {
     "indptr too short": (3, [0, 1, 2], [0, 1], [1.0, 1.0]),
     "indptr not starting at 0": (2, [1, 1, 2], [0, 1], [1.0, 1.0]),
     "indptr end past indices": (2, [0, 1, 3], [0, 1], [1.0, 1.0]),
+    "indptr decreasing": (3, [0, 2, 1, 2], [0, 1], [1.0, 1.0]),
+    "indptr past indices mid-row": (2, [0, 3, 2], [0, 1], [1.0, 1.0]),
+    "indices past indptr end": (2, [0, 1, 1], [0, 1], [1.0, 2.0]),
     "unsorted row": (3, [0, 2, 2, 2], [2, 0], [1.0, 1.0]),
     "duplicate column": (3, [0, 2, 2, 2], [1, 1], [1.0, 1.0]),
     "column out of range": (2, [0, 1, 1], [2], [1.0]),
@@ -117,10 +118,15 @@ class TestBoundaryValidation:
         with pytest.raises(ValueError):
             SparseGraph(n, np.array(indptr), np.array(indices), np.array(values))
 
-    @pytest.mark.parametrize("case", [c for c in MALFORMED if c != "unsorted row"])
+    # from_scipy sorts an unsorted row; scipy prunes indices past indptr's
+    # end itself, and would read past indices sorting a mid-row overshoot
+    @pytest.mark.parametrize("case", [
+        c for c in MALFORMED
+        if c not in ("unsorted row", "indices past indptr end", "indptr past indices mid-row")
+    ])
     def test_from_scipy_rejects(self, case):
         n, indptr, indices, values = MALFORMED[case]
-        # scipy's own constructor rejects the malformed indptr cases first
+        # scipy's own constructor rejects the other malformed indptr cases first
         with pytest.raises(ValueError):
             SparseGraph.from_scipy(sp.csr_matrix((values, indices, indptr), shape=(n, n)))
 
@@ -630,25 +636,42 @@ class TestFullPipelineAgainstOracle:
             assert abs(alpha.sum() - 1.0) <= 1e-12
 
 
+def test_learned_graph_build_checks_every_graph(rng, monkeypatch):
+    # topk_sparsify, normalize_sym, fuse_skip and aggregate_modalities each
+    # build their output through the checked constructor
+    n = 12
+    feats = {"img": ModalityFeatures(rng.standard_normal((n, 6)))}
+    cfg = ModelConfig(variant="full", embed_dim=5, hidden_dim=3, k=3, fuse_lambda=0.5)
+    inputs = build_inputs(
+        cfg, make_dataset(3, n, np.column_stack([np.arange(n) % 3, np.arange(n)])), feats
+    )
+    params = init_parameters(cfg, 3, n, {"img": 6}, np.random.default_rng(0))
+    checked = []
+    check = SparseGraph.__post_init__
+
+    def counted(self):
+        check(self)
+        checked.append(self)
+
+    monkeypatch.setattr(SparseGraph, "__post_init__", counted)
+    mixed, _ = build_item_graph(cfg, params, inputs)
+    assert len(checked) >= 4
+    assert mixed in checked
+
+
 class TestGraphDump:
     def test_roundtrip(self, tmp_path, rng):
         g = build_initial_graph(rng.standard_normal((8, 3)), 3)
         meta = {"k": 3, "fuse_lambda": 0.5}
         tsv, js = write_graph_dump(g, tmp_path / "graph", meta)
-        src, dst, wgt = read_graph_dump(tsv)
+        assert Path(tsv).read_text(encoding="utf-8").startswith("src\tdst\tweight\n")
+        src, dst, wgt = np.loadtxt(tsv, delimiter="\t", skiprows=1, ndmin=2).T
         np.testing.assert_array_equal(src, g.edge_rows())
         np.testing.assert_array_equal(dst, g.indices)
         np.testing.assert_allclose(wgt, g.values, rtol=0, atol=0)
         import json
 
         assert json.loads(Path(js).read_text(encoding="utf-8"))["k"] == 3
-
-    def test_bad_field_reports_line(self, tmp_path):
-        path = tmp_path / "graph.tsv"
-        for bad in ("0\t1\theavy", "0\tone\t0.5", "-1\t1\t0.5", f"{2**63}\t1\t0.5"):
-            path.write_text(f"src\tdst\tweight\n0\t0\t1.0\n{bad}\n", encoding="utf-8")
-            with pytest.raises(DataFormatError, match="line 3"):
-                read_graph_dump(path)
 
     @pytest.mark.parametrize("failure", [".tsv", ".json", "unencodable meta"])
     def test_failed_rewrite_keeps_previous_dump(self, tmp_path, rng, monkeypatch, failure):

@@ -345,12 +345,35 @@ class TestCheckpoints:
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, cfg, params)
         previous = path.read_bytes()
-        # the logits block cannot be cast to float32, after earlier blocks are written
+        # the logits block cannot be cast to float32
         broken = ParameterSet(params, modality_logits=np.array(["x"], dtype=object))
         with pytest.raises(ValueError):
             save_checkpoint(path, cfg, broken)
         assert path.read_bytes() == previous
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+
+    @pytest.mark.parametrize("value", [1e300, -1e300, np.nan])
+    def test_save_rejects_what_float32_cannot_hold(self, tmp_path, value):
+        cfg, _, params, _ = tiny_instance("full", "mf")
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, cfg, params)
+        previous = path.read_bytes()
+        broken = params.copy()
+        broken["item_emb"][1, 2] = value
+        with pytest.raises(CheckpointError, match="item_emb is not finite"):
+            save_checkpoint(path, cfg, broken)
+        assert path.read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+
+    def test_quiet_nan_block_rejected(self, tmp_path):
+        cfg, _, params, _ = tiny_instance("full", "mf")
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, cfg, params)
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # last logit
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="modality_logits is not finite"):
+            load_checkpoint(path)
 
     def test_roundtrip_preserves_float32_values(self, tmp_path):
         cfg, _, params, _ = tiny_instance("full", "mf")
