@@ -144,7 +144,6 @@ def cmd_train(cfg: RunConfig, out_dir: Path, checkpoint_arg: str | None) -> int:
         with open(tmp_log, "w", encoding="utf-8") as log_stream:
             result = fit(model_cfg, cfg.train_config(), split, features, log_stream=log_stream)
             os.fsync(log_stream.fileno())
-        best = result.history[result.best_epoch - 1] if result.best_epoch else None
         save_checkpoint(
             ckpt_path,
             model_cfg,
@@ -153,7 +152,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, checkpoint_arg: str | None) -> int:
                 "config_digest": cfg.digest(),
                 "best_epoch": result.best_epoch,
                 "epochs_run": len(result.history),
-                "best_val_recall": best.val_recall if best else 0.0,
+                "best_val_recall": result.history[result.best_epoch - 1].val_recall,
             },
         )
         os.replace(tmp_log, log_path)

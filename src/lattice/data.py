@@ -320,7 +320,9 @@ def write_features(path, matrix: np.ndarray) -> None:
 
     Written atomically: path holds the previous file or the whole new one.
     """
-    mat = np.ascontiguousarray(matrix, dtype=np.float32)
+    # a value beyond float32's range casts to inf, which the check rejects
+    with np.errstate(over="ignore"):
+        mat = np.ascontiguousarray(matrix, dtype=np.float32)
     if mat.ndim != 2:
         raise ValueError("feature matrix must be 2-D")
     if not np.all(np.isfinite(mat)):

@@ -1,11 +1,7 @@
-"""Pairwise-ranking training with hand-written reverse-mode gradients.
+"""Pairwise-ranking training: the BPR loss and its gradients, Adam, and the fit loop.
 
-Gradient contract for the learned item graph: which entries survive top-k
-selection is treated as a constant of the batch, but gradients flow through
-the retained cosine values, the degree normalization, the skip blend, the
-softmax mixture weights, and the propagation itself.  The graph built from
-raw features is a constant.  Finite-difference checks in the test suite pin
-this behaviour down.
+compute_gradients differentiates the loss onto the model's outputs and hands
+those gradients to model.backward_pass, which knows the model's insides.
 """
 
 from __future__ import annotations
@@ -22,13 +18,7 @@ from scipy.special import expit
 from .data import ModalityFeatures, sample_negative
 from .errors import GradientError
 from .evaluation import evaluate
-from .graph import (
-    knn_cosine_backward,
-    normalize_sym_backward,
-    softmax,
-    unit_rows_backward,
-    values_at,
-)
+from .graph import SparseGraph, softmax
 from .model import (
     ForwardCache,
     ForwardOutput,
@@ -36,6 +26,7 @@ from .model import (
     ModelInputs,
     ParameterSet,
     Settings,
+    backward_pass,
     build_inputs,
     forward_pass,
     parameter_shapes,
@@ -141,18 +132,14 @@ def _triple_scores(
     return pos_s, neg_s
 
 
-def _objective(cfg, train_cfg, params, inputs, batch, graphs):
+def _objective(cfg, train_cfg, params, inputs, batch, graph):
     """The batch loss, with the forward pass, checked batch and scores it used."""
     users, pos, neg = _check_batch(batch, inputs.num_users, inputs.num_items)
-    out, cache = forward_pass(cfg, params, inputs, graphs)
+    out, cache = forward_pass(cfg, params, inputs, graph)
     pos_s, neg_s = _triple_scores(out, users, pos, neg)
     loss = bpr_loss(pos_s, neg_s)
-    loss += l2_penalty(
-        params.user_emb[users],
-        params.item_emb[pos],
-        params.item_emb[neg],
-        train_cfg.l2_coeff,
-    )
+    tables = params.user_emb[users], params.item_emb[pos], params.item_emb[neg]
+    loss += l2_penalty(*tables, train_cfg.l2_coeff)
     return loss, out, cache, (users, pos, neg), (pos_s, neg_s)
 
 
@@ -167,159 +154,45 @@ def batch_loss(
     return _objective(cfg, train_cfg, params, inputs, batch, None)[0]
 
 
-# ---------------------------------------------------------------------------
-# backward pass
-
-
-# Edges per slice in _add_edge_products.  A gathered slice of 1,024 rows at
-# d = 64 is 512 KiB and stays in cache; gathering all edges at once builds two
-# nnz x d arrays (26 MB each for 50,655 edges).  On a 2-core x86-64 box those
-# 50,655 products took 22.6 ms unblocked and 7.4 ms in 1,024-edge slices.
-_EDGE_BLOCK = 1024
-
-
-def _add_edge_products(
-    out: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray, cols: np.ndarray
-) -> None:
-    """out[e] += g[rows[e]] . h[cols[e]] for every edge e, a slice at a time.
-
-    Each product is the same einsum row reduction as over all edges at once,
-    so the result is bitwise that of the unblocked sum.
-    """
-    for start in range(0, rows.size, _EDGE_BLOCK):
-        edges = slice(start, start + _EDGE_BLOCK)
-        out[edges] += np.einsum("ed,ed->e", g[rows[edges]], h[cols[edges]])
-
-
 def compute_gradients(
     cfg: ModelConfig,
     train_cfg: TrainConfig,
     params: ParameterSet,
     inputs: ModelInputs,
     batch,
-    graphs: tuple | None = None,
+    graph: SparseGraph | None = None,
 ) -> tuple[float, dict, ForwardCache]:
     """Loss and analytic gradients of one batch of (user, pos, neg) triples.
 
-    With graphs, a (graph, alpha) pair, supplied the item graph is a frozen
-    constant: graph-structure parameters are left out of the gradient dict
-    entirely.  Raises GradientError if any gradient comes back non-finite.
+    A supplied graph is frozen (see backward_pass).  Raises GradientError if
+    any gradient comes back non-finite.
     """
     loss, out, cache, (users, pos, neg), (pos_s, neg_s) = _objective(
-        cfg, train_cfg, params, inputs, batch, graphs
+        cfg, train_cfg, params, inputs, batch, graph
     )
-    frozen = graphs is not None
 
     n_triples = users.size
     # d loss / d neg_s per triple; d loss / d pos_s is its negation
     coef = expit(neg_s - pos_s) / n_triples
 
     x_u = out.user_vecs[users]
+    item_gap = out.enhanced_items[neg] - out.enhanced_items[pos]
     grad_user_out = np.zeros_like(out.user_vecs)
-    np.add.at(
-        grad_user_out,
-        users,
-        coef[:, None] * (out.enhanced_items[neg] - out.enhanced_items[pos]),
-    )
+    np.add.at(grad_user_out, users, coef[:, None] * item_gap)
     grad_item_out = np.zeros_like(out.enhanced_items)
     np.add.at(grad_item_out, pos, -coef[:, None] * x_u)
     np.add.at(grad_item_out, neg, coef[:, None] * x_u)
 
-    grads: dict[str, np.ndarray] = {}
-
-    # enhancement: x_hat = x_item + normalize(src); the item table gets
-    # grad_item_out unchanged, src gets its normalization backward
-    grad_src = None
-    if cfg.variant != "base":
-        grad_src = unit_rows_backward(grad_item_out, cache.enhance_add, cache.enhance_norms)
-
-    # propagation back to its input src; on a learned graph also the gradient
-    # on its edge values
-    if cfg.uses_item_graph:
-        graph = cache.graph
-        if not frozen:
-            grad_graph_vals = np.zeros(graph.nnz)
-            rows = graph.edge_rows()
-        for layer in range(cfg.item_layers, 0, -1):
-            if not frozen:
-                _add_edge_products(
-                    grad_graph_vals, grad_src, cache.h_layers[layer - 1], rows, graph.indices
-                )
-            grad_src = graph.csr.T @ grad_src
-
-    # projection and concatenated-feature path
-    grad_h_modal: dict[str, np.ndarray] = {}
-    if cfg.uses_projection:
-        grads["projection"] = grad_src.T @ cache.feat_concat
-        grad_concat = grad_src @ params.projection
-        offset = 0
-        for m in sorted(inputs.features):
-            width = cfg.hidden_dim
-            grad_h_modal[m] = grad_concat[:, offset : offset + width].copy()
-            offset += width
-
-    # graph-structure path: mixture -> skip blend -> normalization -> cosine
-    if cfg.uses_item_graph and not frozen:
-        alpha = cache.alpha
-        grad_alpha = np.zeros(alpha.size)
-        for idx, m in enumerate(sorted(inputs.features)):
-            fused = cache.fused[m]
-            g_on_fused = values_at(graph, grad_graph_vals, fused)
-            grad_alpha[idx] = float(np.dot(g_on_fused, fused.values))
-            if m not in cache.learned:
-                continue
-            retained, features = cache.learned[m]
-            if retained.nnz == 0:
-                continue
-            g_learned = (1.0 - cfg.fuse_lambda) * values_at(
-                fused, alpha[idx] * g_on_fused, retained
-            )
-            g_retained = normalize_sym_backward(g_learned, retained)
-            grad_h = knn_cosine_backward(g_retained, retained, features)
-            if m in grad_h_modal:
-                grad_h_modal[m] += grad_h
-            else:
-                grad_h_modal[m] = grad_h
-        # softmax backward
-        grads["modality_logits"] = alpha * (grad_alpha - float(np.dot(alpha, grad_alpha)))
-
-    # transformed features back to the affine maps
-    if cfg.uses_modal_features and not (cfg.variant == "full" and frozen):
-        for m in params.modalities:
-            g_h = grad_h_modal.get(m)
-            if g_h is None:
-                grads[f"transform_w.{m}"] = np.zeros_like(params.transform_w[m])
-                grads[f"transform_b.{m}"] = np.zeros_like(params.transform_b[m])
-            else:
-                grads[f"transform_w.{m}"] = g_h.T @ inputs.features[m]
-                grads[f"transform_b.{m}"] = g_h.sum(axis=0)
-
-    # backend back to the tables
-    if cfg.backend == "mf":
-        grad_user_table = grad_user_out
-        grad_item_table = grad_item_out
-    else:
-        g0 = np.concatenate([grad_user_out, grad_item_out], axis=0)
-        scale = 1.0 / (cfg.cf_layers + 1)
-        acc = scale * g0
-        total = acc.copy()
-        for _ in range(cfg.cf_layers):
-            acc = inputs.bipartite.csr @ acc
-            total += acc
-        grad_user_table = total[: inputs.num_users]
-        grad_item_table = total[inputs.num_users :]
-    if cfg.variant == "full":
-        grad_item_table = grad_item_table + grad_src
+    grads = backward_pass(
+        cfg, params, inputs, cache, grad_user_out, grad_item_out, graph is not None
+    )
 
     # embedding penalty acts on the raw tables
     if train_cfg.l2_coeff > 0.0:
         scale = train_cfg.l2_coeff / n_triples
-        np.add.at(grad_user_table, users, scale * params.user_emb[users])
-        np.add.at(grad_item_table, pos, scale * params.item_emb[pos])
-        np.add.at(grad_item_table, neg, scale * params.item_emb[neg])
-
-    grads["user_emb"] = grad_user_table
-    grads["item_emb"] = grad_item_table
+        np.add.at(grads["user_emb"], users, scale * params.user_emb[users])
+        np.add.at(grads["item_emb"], pos, scale * params.item_emb[pos])
+        np.add.at(grads["item_emb"], neg, scale * params.item_emb[neg])
 
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -439,7 +312,6 @@ def fit(
 
     adam_state: dict = {}
     history: list[EpochRecord] = []
-    best_params = params.copy()
     best_recall = -np.inf
     best_epoch = 0
     epochs_since_best = 0
@@ -466,10 +338,10 @@ def fit(
                 negatives[start:stop],
             )
             loss, grads, cache = compute_gradients(
-                model_cfg, train_cfg, params, inputs, batch, graphs=frozen
+                model_cfg, train_cfg, params, inputs, batch, graph=frozen
             )
             if train_cfg.graph_refresh == "per_epoch" and cache.graph is not None:
-                frozen = (cache.graph, cache.alpha)
+                frozen = cache.graph
             adam_step(adam_state, params, grads, train_cfg.learning_rate)
             loss_sum += loss * batch[0].shape[0]
         train_loss = loss_sum / epoch_pairs.shape[0]
@@ -487,11 +359,7 @@ def fit(
             )
             val_recall = report.metrics[VALIDATION_CUTOFF]["recall"]
             val_ndcg = report.metrics[VALIDATION_CUTOFF]["ndcg"]
-        alpha = (
-            [float(a) for a in softmax(params.logits)]
-            if params.logits is not None
-            else []
-        )
+        alpha = [] if params.logits is None else softmax(params.logits).tolist()
         record = EpochRecord(
             epoch=epoch,
             train_loss=train_loss,
@@ -505,20 +373,15 @@ def fit(
             log_stream.write(json.dumps(record.as_log_entry()) + "\n")
             log_stream.flush()
 
-        if not has_valid:
-            best_epoch = epoch
-            continue
-        if val_recall > best_recall:
+        # without validation every epoch is the best yet; the last one is returned
+        if not has_valid or val_recall > best_recall:
             best_recall = val_recall
-            best_params = params.copy()
+            best_params = params.copy() if has_valid else params
             best_epoch = epoch
             epochs_since_best = 0
         else:
             epochs_since_best += 1
             if epochs_since_best >= train_cfg.patience:
                 break
-
-    if not has_valid:
-        best_params = params
 
     return FitResult(params=best_params, history=history, best_epoch=best_epoch, inputs=inputs)

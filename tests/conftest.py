@@ -90,8 +90,8 @@ def tiny_instance(variant: str, backend: str):
     raise AssertionError("no seed produced the required support margin")
 
 
-def finite_difference_gradients(cfg, train_cfg, params, inputs, batch, step=FD_STEP):
-    """Central differences of batch_loss in every parameter coordinate."""
+def central_differences(objective, params, step=FD_STEP):
+    """Central differences of objective() in every coordinate of params."""
     out = {}
     for name, arr in params.named():
         flat = arr.ravel()
@@ -99,13 +99,20 @@ def finite_difference_gradients(cfg, train_cfg, params, inputs, batch, step=FD_S
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + step
-            lp = batch_loss(cfg, train_cfg, params, inputs, batch)
+            lp = objective()
             flat[idx] = orig - step
-            lm = batch_loss(cfg, train_cfg, params, inputs, batch)
+            lm = objective()
             flat[idx] = orig
             grad[idx] = (lp - lm) / (2.0 * step)
         out[name] = grad.reshape(arr.shape)
     return out
+
+
+def finite_difference_gradients(cfg, train_cfg, params, inputs, batch, step=FD_STEP):
+    """Central differences of batch_loss in every parameter coordinate."""
+    return central_differences(
+        lambda: batch_loss(cfg, train_cfg, params, inputs, batch), params, step
+    )
 
 
 def gradient_agreement(analytic: dict, numeric: dict, params) -> tuple[float, str]:

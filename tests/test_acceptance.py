@@ -25,7 +25,7 @@ from conftest import (
 from lattice.cli import main
 from lattice.data import sample_negative, split_cold, split_warm
 from lattice.evaluation import evaluate, ndcg_at_k, precision_at_k, rank_items, recall_at_k
-from lattice.graph import build_initial_graph, transform_features
+from lattice.graph import build_initial_graph, softmax, transform_features
 from lattice.model import (
     BACKENDS,
     VARIANTS,
@@ -240,7 +240,8 @@ def test_criterion_3_graph_pipeline_oracle(report):
             initial_graphs={m: build_initial_graph(f, k) for m, f in features.items()},
             bipartite=None,
         )
-        graph, alpha = build_item_graph(cfg, params, inputs)
+        graph = build_item_graph(cfg, params, inputs)
+        alpha = softmax(params.logits)
 
         expected, exp_alpha = dense_mixed_graph(features, params, k, lam)
         worst_entry = max(worst_entry, np.abs(graph.csr.toarray() - expected).max())

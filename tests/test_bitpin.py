@@ -6,7 +6,9 @@ below: the sha256 of the checkpoint bytes, the sha256 of every parameter as
 float64 (checkpoints store float32, which would hide small drift), and the
 repr of the last epoch's train loss.  A refactor that keeps the arithmetic
 must keep all three.  One extra case trains with fuse_lambda = 1.0, where the
-learned graph carries zero weight.
+learned graph carries zero weight.  Three more vary the shape: one modality
+(the mixed graph is 1.0 times the fused graph), three item layers, and k = 0
+(no kNN graph at all).
 
 The digests depend on the numpy/BLAS build.  On a new platform, print the
 table with ``PYTHONPATH=src python tests/test_bitpin.py`` from the parent
@@ -51,6 +53,14 @@ PINNED_LAMBDA = {
     ('mf', 'full', 'per_batch', 1.0): ('955e29cf366feb736b66cba6556673401223c34723823c01313e305be5960145', '14c2188366eef0850ca023197894f735e2c9d34043a6a9c2baf7dc4e18f75d36', '0.6324839413326927'),
 }
 
+# (backend, variant, refresh, run_case keyword overrides as pairs) -> digests,
+# as in PINNED
+PINNED_SHAPES = {
+    ('mf', 'full', 'per_batch', (('modalities', ('content',)),)): ('9d741f15db16dbbc521d2eadb84ddf865461b97be2f82b209fa732cdadd5cfbe', '76106ffb92164f30a985708f32ea86b859b4f16e2dc57d7806ab8668330c7ba6', '0.6249531830150277'),
+    ('lightgcn', 'conv_on_feats', 'per_epoch', (('item_layers', 3),)): ('892c260e219255716217aaa99b7d2d47b670905b7bd6947c3698a5e6023e4db1', '556f8c56f6b55166a10dac4b032084a807331f36774b7e70a4a28acad985d2ed', '0.5380207332235514'),
+    ('mf', 'full', 'per_batch', (('k', 0),)): ('ec78476ae5623310d12450dee2d80771b3b06741f571ec79d5ab720fe4753f9d', 'bc76d88efb4b397675eab66fdd739a714f70d466022130c4f9e7dcc037d9fe02', '0.6691353428460112'),
+}
+
 
 def _instance():
     dataset, features = clustered_dataset(
@@ -67,24 +77,34 @@ def _instance():
     return split_cold(dataset, 0.2, seed=3), features
 
 
-def run_case(backend, variant, refresh, tmp_dir, fuse_lambda=0.6):
+def run_case(
+    backend,
+    variant,
+    refresh,
+    tmp_dir,
+    fuse_lambda=0.6,
+    k=3,
+    item_layers=2,
+    modalities=("content", "proj"),
+):
     """Train one case and return (checkpoint sha256, float64 sha256, loss repr)."""
     split, features = _instance()
+    features = {m: features[m] for m in modalities}
     cfg = ModelConfig(
         backend=backend,
         variant=variant,
         embed_dim=8,
         hidden_dim=4,
-        k=3,
+        k=k,
         fuse_lambda=fuse_lambda,
-        item_layers=2,
+        item_layers=item_layers,
         cf_layers=2,
     )
     train_cfg = TrainConfig(
         learning_rate=0.01, batch_size=32, max_epochs=3, seed=5, graph_refresh=refresh
     )
     result = fit(cfg, train_cfg, split, features)
-    path = tmp_dir / f"{backend}_{variant}_{refresh}_{fuse_lambda}.bin"
+    path = tmp_dir / f"{backend}_{variant}_{refresh}_{fuse_lambda}_{k}_{item_layers}.bin"
     save_checkpoint(path, cfg, result.params)
     ckpt = hashlib.sha256(path.read_bytes()).hexdigest()
     exact = hashlib.sha256()
@@ -108,6 +128,16 @@ def test_training_at_fuse_lambda_reproduces_pinned_bits(case, tmp_path):
     assert got == PINNED_LAMBDA[case]
 
 
+@pytest.mark.parametrize(
+    "case",
+    list(PINNED_SHAPES),
+    ids=lambda c: "-".join(c[:3] + tuple(f"{k}={v}" for k, v in c[3])),
+)
+def test_training_at_other_shapes_reproduces_pinned_bits(case, tmp_path):
+    got = run_case(*case[:3], tmp_path, **dict(case[3]))
+    assert got == PINNED_SHAPES[case]
+
+
 if __name__ == "__main__":
     import pathlib
     import tempfile
@@ -120,5 +150,10 @@ if __name__ == "__main__":
         print("PINNED_LAMBDA = {")
         for case in sorted(PINNED_LAMBDA):
             got = run_case(*case[:3], pathlib.Path(tmp), fuse_lambda=case[3])
+            print(f"    {case!r}: {got!r},")
+        print("}")
+        print("PINNED_SHAPES = {")
+        for case in PINNED_SHAPES:
+            got = run_case(*case[:3], pathlib.Path(tmp), **dict(case[3]))
             print(f"    {case!r}: {got!r},")
         print("}")

@@ -438,6 +438,16 @@ class TestFeatureIO:
         with pytest.raises(ValueError, match="finite"):
             write_features(tmp_path / "f.latf", np.array([[np.nan]]))
 
+    @pytest.mark.parametrize("value", [1e300, -1e300])
+    def test_beyond_float32_rejected_without_warning(self, tmp_path, value):
+        # the suite turns warnings into errors, so an overflow warning fails here
+        path = tmp_path / "f.latf"
+        write_features(path, np.ones((1, 2)))
+        previous = path.read_bytes()
+        with pytest.raises(ValueError, match="finite"):
+            write_features(path, np.array([[1.0, value]]))
+        assert path.read_bytes() == previous
+
     def test_non_finite_rejected_on_load(self, tmp_path):
         path = tmp_path / "f.latf"
         payload = np.array([[np.inf]], dtype="<f4")

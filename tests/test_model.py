@@ -8,20 +8,24 @@ import numpy as np
 import pytest
 from test_graph import dense_mixed_graph
 
-from conftest import tiny_instance
+from conftest import central_differences, gradient_agreement, tiny_instance
 from lattice.data import make_dataset
 import lattice.model
 from lattice.errors import CheckpointError
 from lattice.evaluation import rank_items
 from lattice.graph import SparseGraph, aggregate_modalities
 from lattice.model import (
+    BACKENDS,
+    VARIANTS,
     ForwardOutput,
     ModelConfig,
     ModelInputs,
     ParameterSet,
+    backward_pass,
     build_inputs,
     cf_forward,
     forward,
+    forward_pass,
     load_checkpoint,
     propagate_item_graph,
     save_checkpoint,
@@ -328,6 +332,33 @@ class TestForwardVariants:
         norms = np.linalg.norm(h, axis=1)
         add = np.where(norms[:, None] >= 1e-12, h / np.maximum(norms, 1e-12)[:, None], 0.0)
         np.testing.assert_allclose(out.enhanced_items, params.item_emb + add, atol=1e-8)
+
+
+class TestBackwardPass:
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_finite_differences_of_dense_upstream(self, backend, variant, frozen):
+        # every user and item row carries upstream gradient, so rows that no
+        # batch of triples touches are checked too; a frozen graph is held
+        # constant on both sides
+        cfg, inputs, params, _ = tiny_instance(variant, backend)
+        out, cache = forward_pass(cfg, params, inputs)
+        rng = np.random.default_rng(11)
+        up_users = rng.standard_normal(out.user_vecs.shape)
+        up_items = rng.standard_normal(out.enhanced_items.shape)
+        graph = cache.graph if frozen else None
+
+        def objective():
+            o, _ = forward_pass(cfg, params, inputs, graph)
+            return np.sum(up_users * o.user_vecs) + np.sum(up_items * o.enhanced_items)
+
+        grads = backward_pass(
+            cfg, params, inputs, cache, up_users.copy(), up_items.copy(), frozen
+        )
+        assert set(grads) <= set(params)
+        worst, where = gradient_agreement(grads, central_differences(objective, params), params)
+        assert worst <= 1e-4, f"gradient mismatch at {where}: rel err {worst:.3e}"
 
 
 def edited_header(blob: bytes, edit) -> bytes:

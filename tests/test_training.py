@@ -13,11 +13,16 @@ from conftest import (
 import lattice.training
 from lattice.data import make_dataset, split_warm
 from lattice.evaluation import EvalReport, evaluate
-from lattice.model import BACKENDS, VARIANTS, ModelConfig, parameter_shapes
+from lattice.model import (
+    BACKENDS,
+    VARIANTS,
+    _EDGE_BLOCK,
+    ModelConfig,
+    _add_edge_products,
+    parameter_shapes,
+)
 from lattice.synthetic import clustered_dataset
 from lattice.training import (
-    _EDGE_BLOCK,
-    _add_edge_products,
     TrainConfig,
     adam_step,
     bpr_loss,
@@ -244,7 +249,7 @@ class TestAnalyticGradients:
         _, grads, cache = compute_gradients(cfg, train_cfg, params, inputs, batch)
         assert "modality_logits" in grads
         _, frozen, _ = compute_gradients(
-            cfg, train_cfg, params, inputs, batch, graphs=(cache.graph, cache.alpha)
+            cfg, train_cfg, params, inputs, batch, graph=cache.graph
         )
         assert "modality_logits" not in frozen
         assert not any(name.startswith("transform") for name in frozen)
