@@ -1,19 +1,21 @@
 """Item-item graph construction from content features.
 
-The pipeline per modality: clamped cosine similarities, per-row top-k
-sparsification, symmetric degree normalization.  A learned variant runs the
+The pipeline per modality: cosine similarities, per-row top-k of the
+positive ones, symmetric degree normalization.  A learned variant runs the
 same pipeline on linearly transformed features, gets blended with the frozen
 initial graph, and the per-modality results are mixed with softmax weights.
 
 Similarity matrices are never materialized densely; rows are produced in
 blocks of at most about 8 MiB and reduced to top-k immediately, so memory
-stays that block plus the O(num_nodes * k) result.  The bound is in bytes,
-not rows: glibc serves allocations above its 32 MiB mmap threshold with a
-fresh mapping each time, so a block that large (256 rows at 19k items is
-37.7 MiB) would be page-faulted in anew for every block of every build.
-Each block is reduced with whole-block array calls: the k-th largest maximum
-over strided column groups bounds each row's k-th largest value from below,
-leaving a handful of candidates per row for the exact cut.
+stays that block plus the O(num_nodes * k) result.  Every block of a build
+is written into one buffer, allocated once: a fresh allocation per block
+would be page-faulted in anew each time, and above glibc's 32 MiB mmap
+threshold (256 rows at 19k items is 37.7 MiB) it would also be a fresh
+mapping.  Blocks hold raw cosines; negative ones are never kept because the
+top-k candidate threshold is at least the smallest positive float, so no
+clamp pass is needed.  Each block is read in full once: the maxima over
+strided column groups give each row a lower bound on its k-th largest value,
+and only the groups whose maximum reaches it are gathered for the exact cut.
 
 Each differentiable stage's backward sits beside its forward and shares its
 guards: unit_rows_backward, normalize_sym_backward, and knn_cosine_backward,
@@ -169,19 +171,23 @@ def unit_rows_backward(
 
 
 def iter_cosine_rows(features: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield blocks of the clamped cosine matrix, consecutive rows at a time.
+    """Yield blocks of the cosine matrix, consecutive rows at a time.
 
-    A block holds as many rows as fit in _BLOCK_BYTES, and at least one.
-    Only one block is alive at a time.  The row count of a block can move
-    the last bits of its entries (BLAS picks its kernels by shape), so the
+    Entries are raw cosines, negative ones included.  A block holds as many
+    rows as fit in _BLOCK_BYTES, and at least one.  Every block is a view of
+    one buffer allocated per call, so a block is valid only until the next
+    one is drawn: copy it to keep it.  The row count of a block can move the
+    last bits of its entries (BLAS picks its kernels by shape), so the
     layout is fixed here and no caller chooses it.
     """
     unit, _ = unit_rows(features)
     n = unit.shape[0]
     chunk_rows = max(1, _BLOCK_BYTES // (unit.itemsize * max(n, 1)))
+    buffer = np.empty((min(chunk_rows, n), n))
     for start in range(0, n, chunk_rows):
-        block = unit[start : start + chunk_rows] @ unit.T
-        np.maximum(block, 0.0, out=block)
+        rows = unit[start : start + chunk_rows]
+        block = buffer[: rows.shape[0]]
+        np.matmul(rows, unit.T, out=block)
         yield block
 
 
@@ -197,7 +203,8 @@ def topk_sparsify(
     Blocks are consumed one at a time and each is selected with whole-block
     array calls: a group-max lower bound on every row's k-th largest value
     leaves a few candidates per row for the exact cut (see _block_topk).
-    Kept values are read from the block, never recomputed.
+    Kept values are copied from the block, never recomputed, and nothing
+    kept refers to it, so a block may be overwritten once the next is drawn.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -229,11 +236,14 @@ def _block_topk(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.n
     """A block's top-k as (kept entries per row, columns, values), row-major.
 
     Columns split into g = n // 16 strided groups (group j holds columns j,
-    j + g, ..., j + 15g).  k distinct groups reach the k-th largest group
-    maximum, so it bounds each row's k-th largest value from below; floored
-    at the smallest positive float it becomes the candidate threshold.  Every
-    kept entry is a candidate.  Rows with more than k candidates are cut to
-    the k largest, boundary ties to the smallest columns.
+    j + g, ..., j + 15g) and a tail of the last n - 16g columns.  k distinct
+    groups reach the k-th largest group maximum, so it bounds each row's
+    k-th largest value from below; floored at the smallest positive float it
+    becomes the candidate threshold.  An entry at or above it lies in the
+    tail or in a group whose maximum reaches it, so only those are gathered.
+    Every kept entry is a candidate.  Rows with more than k candidates are
+    cut to the k largest, boundary ties to the smallest columns.  The
+    returned arrays are copies, never views of the block.
     """
     r, n = block.shape
     if k == 0 or r == 0 or n == 0:
@@ -241,14 +251,19 @@ def _block_topk(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.n
         return np.zeros(r, dtype=np.int64), empty_cols, np.empty(0, dtype=block.dtype)
     g = n // _GROUP_SPAN
     if g >= k:
-        group_max = block[:, :g].copy()
-        for t in range(1, _GROUP_SPAN):
-            np.maximum(group_max, block[:, t * g : (t + 1) * g], out=group_max)
-        group_max.partition(g - k, axis=1)
-        thr = np.maximum(group_max[:, g - k], _TINY)[:, None]
+        span = _GROUP_SPAN * g
+        group_max = block[:, :span].reshape(r, _GROUP_SPAN, g).max(axis=1)
+        bound = np.partition(group_max, g - k, axis=1)[:, g - k]
+        thr = np.maximum(bound, _TINY)[:, None]
+        # flat indices of the gated groups' columns, then the tail's hits
+        rows, groups = np.nonzero(group_max >= thr)
+        gated = (rows * n + groups)[:, None] + g * np.arange(_GROUP_SPAN)
+        hit = block.ravel()[gated] >= thr[rows]
+        tail_rows, tail_cols = np.nonzero(block[:, span:] >= thr)
+        flat = np.concatenate([gated[hit], tail_rows * n + (span + tail_cols)])
+        flat.sort()
     else:
-        thr = _TINY
-    flat = np.flatnonzero(block >= thr)
+        flat = np.flatnonzero(block >= _TINY)
     rows, cols = np.divmod(flat, n)
     vals = block.ravel()[flat]
     counts = np.bincount(rows, minlength=r)
@@ -386,13 +401,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def aggregate_modalities(
-    graphs: Sequence[SparseGraph], logits: np.ndarray
-) -> tuple[SparseGraph, np.ndarray]:
-    """Softmax-weighted sum of per-modality graphs.
-
-    Returns the combined graph and the weights (which sum to 1).
-    """
+def aggregate_modalities(graphs: Sequence[SparseGraph], logits: np.ndarray) -> SparseGraph:
+    """Sum of per-modality graphs weighted by softmax(logits)."""
     if len(graphs) == 0:
         raise ValueError("at least one modality graph is required")
     if len(graphs) != np.asarray(logits).size:
@@ -404,7 +414,7 @@ def aggregate_modalities(
     combined = weights[0] * graphs[0].csr
     for w, g in zip(weights[1:], graphs[1:]):
         combined = combined + w * g.csr
-    return SparseGraph(nodes, combined.indptr, combined.indices, combined.data), weights
+    return SparseGraph(nodes, combined.indptr, combined.indices, combined.data)
 
 
 def write_graph_dump(

@@ -292,7 +292,7 @@ def build_item_graph(
         if cache is not None:
             cache.fused[m] = fused
         fused_list.append(fused)
-    return aggregate_modalities(fused_list, params.logits)[0]
+    return aggregate_modalities(fused_list, params.logits)
 
 
 def propagate_item_graph(

@@ -198,9 +198,15 @@ def test_row_sums_add_in_entry_order(density):
 # cosine similarity
 
 
+def copied_blocks(features):
+    """Copies of the blocks iter_cosine_rows yields; each block it yields
+    is overwritten by the next."""
+    return [block.copy() for block in iter_cosine_rows(features)]
+
+
 def cosine_rows(features):
-    """The clamped cosine matrix as iter_cosine_rows yields it, one row per item."""
-    return np.vstack(list(iter_cosine_rows(features)))
+    """The cosine matrix of iter_cosine_rows, clamped at 0 like the dense oracles."""
+    return np.maximum(np.vstack(copied_blocks(features)), 0.0)
 
 
 class TestCosine:
@@ -214,10 +220,19 @@ class TestCosine:
         row = cosine_rows(feats)[0]
         assert row[1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
 
-    def test_negative_similarity_clamps_to_zero(self):
-        feats = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        row = cosine_rows(feats)[0]
-        assert row[1] == 0.0
+    @pytest.mark.parametrize("k", [2, 10])  # below and above n // 16 = 3
+    def test_anti_parallel_pair_is_never_an_edge(self, rng, k):
+        # blocks hold raw cosines; only the top-k threshold keeps negatives
+        # out.  Item 0's only positive cosine is its own, so its row has
+        # fewer than k positive entries at both k
+        feats = np.column_stack([-np.ones(48), rng.uniform(-1.0, 1.0, 48)])
+        feats[0] = [1.0, 0.0]
+        feats[1] = [-1.0, 0.0]
+        g = knn_cosine_graph(feats, k)
+        dense = g.csr.toarray()
+        assert dense[0, 1] == 0.0 and dense[1, 0] == 0.0
+        assert g.indices[g.indptr[0] : g.indptr[1]].tolist() == [0]
+        assert g.values.min() > 0.0
 
     def test_zero_norm_row_guarded(self):
         feats = np.array([[0.0, 0.0], [1.0, 2.0]])
@@ -228,9 +243,9 @@ class TestCosine:
         feats = rng.standard_normal((23, 7))
         dense = dense_cosine(feats)
         monkeypatch.setattr(graph, "_BLOCK_BYTES", 5 * 8 * 23)  # 5-row blocks
-        blocks = list(iter_cosine_rows(feats))
+        blocks = copied_blocks(feats)
         assert [b.shape[0] for b in blocks] == [5, 5, 5, 5, 3]
-        np.testing.assert_allclose(np.vstack(blocks), dense, atol=1e-12)
+        np.testing.assert_allclose(np.maximum(np.vstack(blocks), 0.0), dense, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +296,48 @@ class TestTopK:
         assert a.indptr.tolist() == b.indptr.tolist()
         np.testing.assert_allclose(np.sqrt(a.values), b.values, atol=1e-12)
 
+    def test_top_k_only_in_tail_columns(self, rng):
+        # 45 columns: g = 2 groups of 16 strided columns, then 13 tail
+        # columns no group covers; every row's two largest lie in the tail
+        sim = rng.uniform(0.1, 0.5, (45, 45))
+        sim[:, 33] = 0.9
+        sim[:, 40] = 0.8
+        got = topk_sparsify([sim], 2, 45)
+        assert np.all(got.indices.reshape(45, 2) == [33, 40])
+        np.testing.assert_array_equal(got.csr.toarray(), dense_topk(sim, 2))
+
+    @pytest.mark.parametrize("tied", [(5, 8), (4, 9)], ids=["odd-first", "even-first"])
+    def test_tied_group_maxima_keep_smaller_column(self, tied):
+        # 32 columns, k = 1: group 0 holds the even columns, group 1 the odd
+        # ones, and both maxima tie at the bound.  Whichever of the two
+        # groups a one-way selection kept, one case puts the smaller tied
+        # column in the other
+        sim = np.full((32, 32), 0.1)
+        sim[:, list(tied)] = 0.5
+        got = topk_sparsify([sim], 1, 32)
+        assert got.indices.tolist() == [tied[0]] * 32
+        np.testing.assert_array_equal(got.csr.toarray(), dense_topk(sim, 1))
+
+    @pytest.mark.parametrize("k", [2, 5])  # g = 3: k <= g and k > g
+    def test_rows_with_fewer_than_k_positive_entries(self, rng, k):
+        sim = rng.uniform(-1.0, -0.1, (48, 48))
+        sim[::2] = rng.uniform(0.1, 1.0, (24, 48))  # even rows all positive
+        sim[1::2, 7] = 0.3  # odd rows: one positive entry
+        sim[3, 40] = 0.2  # and row 3 a second one
+        got = topk_sparsify([sim], k, 48)
+        counts = got.row_counts()
+        assert np.all(counts[::2] == k)
+        assert counts[1] == 1 and counts[3] == 2
+        np.testing.assert_array_equal(got.csr.toarray(), dense_topk(np.maximum(sim, 0.0), k))
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 30])
+    def test_block_topk_returns_no_view_of_its_block(self, rng, k):
+        # topk_sparsify keeps these arrays while the next block overwrites
+        # this one; k = 1 and 3 take the group gate, k = 30 the full scan
+        block = rng.uniform(-1.0, 1.0, (20, 50))
+        for arr in graph._block_topk(block, k):
+            assert not np.shares_memory(arr, block)
+
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="more similarity rows than nodes"):
             topk_sparsify([np.ones((2, 3)), np.ones((2, 3))], 1, 3)
@@ -322,7 +379,7 @@ def test_topk_matches_stable_argsort_reference(case):
     n = feats.shape[0]
     with mock.patch.object(graph, "_BLOCK_BYTES", 37 * 8 * n):  # 37-row blocks
         got = topk_sparsify(iter_cosine_rows(feats), k, n)
-        sim = np.vstack(list(iter_cosine_rows(feats)))
+        sim = np.vstack(copied_blocks(feats))
     indptr, indices, values = stable_topk_reference(sim, k)
     assert np.array_equal(got.indptr, indptr)
     assert np.array_equal(got.indices, indices)
@@ -343,6 +400,19 @@ class TestDefaultBlocks:
         assert all(nbytes <= graph._BLOCK_BYTES for _, nbytes in sizes)
         assert all(shape[1] == self.n for shape, _ in sizes)
         assert sum(shape[0] for shape, _ in sizes) == self.n
+
+    def test_blocks_reuse_one_buffer_within_byte_budget(self):
+        blocks = list(iter_cosine_rows(self.features()))
+        assert all(np.shares_memory(a, b) for a, b in zip(blocks, blocks[1:]))
+        assert blocks[0].base.nbytes <= graph._BLOCK_BYTES
+
+    def test_graph_matches_topk_of_copied_blocks(self):
+        feats = self.features()
+        got = knn_cosine_graph(feats, self.k)
+        want = topk_sparsify(copied_blocks(feats), self.k, self.n)
+        assert got.indptr.tobytes() == want.indptr.tobytes()
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
 
     def test_graph_matches_dense_oracle(self):
         # the oracle forms each score as an explicit two-term sum, so its last
@@ -590,17 +660,17 @@ class TestFuseAndMix:
 
     def test_single_modality_mix_is_identity(self, rng):
         g = build_initial_graph(rng.standard_normal((6, 3)), 2)
-        mixed, alpha = aggregate_modalities([g], np.zeros(1))
+        mixed = aggregate_modalities([g], np.zeros(1))
         np.testing.assert_allclose(mixed.csr.toarray(), g.csr.toarray(), atol=1e-15)
-        assert alpha.tolist() == [1.0]
+        assert softmax(np.zeros(1)).tolist() == [1.0]
 
     def test_equal_logits_average(self, rng):
         a = build_initial_graph(rng.standard_normal((6, 3)), 2)
         b = build_initial_graph(rng.standard_normal((6, 3)), 2)
-        mixed, alpha = aggregate_modalities([a, b], np.zeros(2))
+        mixed = aggregate_modalities([a, b], np.zeros(2))
         want = 0.5 * a.csr.toarray() + 0.5 * b.csr.toarray()
         np.testing.assert_allclose(mixed.csr.toarray(), want, atol=1e-14)
-        np.testing.assert_allclose(alpha, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(softmax(np.zeros(2)), [0.5, 0.5], atol=1e-15)
 
     def test_empty_modality_list_rejected(self):
         with pytest.raises(ValueError):
@@ -742,7 +812,7 @@ def test_pipeline_stages_keep_graph_invariants(inputs):
     knn = knn_cosine_graph(transformed, k)
     learned = normalize_sym(knn)
     fused = fuse_skip(initial, learned, lam)
-    mixed, _ = aggregate_modalities([fused, initial], logits)
+    mixed = aggregate_modalities([fused, initial], logits)
     for g in (knn, learned):
         assert g.row_counts().max(initial=0) <= k
     for g in (knn, learned, fused, mixed):

@@ -314,7 +314,7 @@ class TestForwardVariants:
             cfg = dataclasses.replace(cfg, fuse_lambda=1.0)
             _, grads, cache = compute_gradients(cfg, TrainConfig(), params, inputs, batch)
             initial = [inputs.initial_graphs[m] for m in sorted(inputs.features)]
-            expected, _ = aggregate_modalities(initial, params.logits)
+            expected = aggregate_modalities(initial, params.logits)
             np.testing.assert_array_equal(cache.graph.csr.toarray(), expected.csr.toarray())
             for m in params.modalities:
                 for name in (f"transform_w.{m}", f"transform_b.{m}"):
