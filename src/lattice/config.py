@@ -160,11 +160,14 @@ def parse_config_text(text: str, base_dir, source: str = "<config>") -> RunConfi
 
 
 def load_run_config(path) -> RunConfig:
-    """Read, validate, and resolve a config file; referenced inputs must exist."""
+    """Read, validate, and resolve a config file; referenced inputs must exist.
+
+    The file is UTF-8; a byte-order mark at its start is dropped.
+    """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     cfg = parse_config_text(text, base_dir=path.parent, source=str(path))
     if not cfg.interactions_path.is_file():

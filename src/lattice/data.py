@@ -1,7 +1,8 @@
 """Interaction data, train/valid/test splits, and content-feature IO.
 
 External formats:
-  * interactions: UTF-8 TSV, one "user<TAB>item" pair per line
+  * interactions: UTF-8 TSV, one "user<TAB>item" pair per line (see
+    load_interactions for line endings, blank lines and the byte-order mark)
   * features: binary container, magic "LATF", little-endian u32 version,
     u64 rows, u64 cols, then float32 row-major payload
 """
@@ -9,6 +10,7 @@ External formats:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -49,20 +51,30 @@ class InteractionDataset:
         return int(self.pairs.shape[0])
 
     def positives_as_sets(self) -> list[set]:
-        return [set(int(i) for i in items) for items in self.user_positives]
+        return [set(items.tolist()) for items in self.user_positives]
 
 
 def _positives_per_user(num_users: int, pairs: np.ndarray) -> tuple[tuple, bool]:
     """Each user's items in ascending order, one int64 array per user id.
 
-    Also says whether some user holds an item twice: equal neighbours
-    within one user's sorted items.
+    One sort of the key user * width + item, width past the largest item,
+    orders pairs by user, then item; each user's positives are a slice of
+    it.  Also says whether some user holds an item twice: equal neighbouring
+    keys.
     """
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    users = pairs[order, 0]
-    items = pairs[order, 1]
-    repeated = bool(np.any((items[1:] == items[:-1]) & (users[1:] == users[:-1])))
-    bounds = np.searchsorted(users, np.arange(num_users + 1))
+    users, items = pairs[:, 0], pairs[:, 1]
+    labels = None
+    width = int(items.max()) + 1 if items.size else 1
+    if int(num_users) * width > np.iinfo(np.int64).max:
+        # the key would overflow: key on dense item ranks, at most one per pair
+        labels, items = np.unique(items, return_inverse=True)
+        width = labels.size
+    keys = np.sort(users * width + items)
+    repeated = bool(np.any(keys[1:] == keys[:-1]))
+    bounds = np.searchsorted(keys, np.arange(num_users + 1) * width)
+    items = keys % width
+    if labels is not None:
+        items = labels[items]
     return tuple(items[a:b] for a, b in zip(bounds[:-1], bounds[1:])), repeated
 
 
@@ -100,14 +112,35 @@ def make_dataset(
     )
 
 
+def _first_appearance_ids(tokens: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Each token's dense id, numbered in order of first appearance, and the labels."""
+    labels = list(dict.fromkeys(tokens))
+    ids = dict(zip(labels, range(len(labels))))
+    return np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens)), labels
+
+
+def _raise_first_bad_line(path, lines: list[str]) -> None:
+    """Raise DataFormatError naming the first line that is not one user<TAB>item pair."""
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise DataFormatError(
+                f"{path}: line {lineno}: expected 'user<TAB>item', got {line!r}"
+            )
+
+
 def load_interactions(path) -> InteractionDataset:
     """Read a user<TAB>item TSV; ids are assigned in order of first appearance.
 
-    Repeated pairs collapse to one interaction.  Malformed lines raise
-    DataFormatError with the offending line number; an empty file is an error.
+    The file is UTF-8, read with universal newlines: a line ends at "\n",
+    "\r\n" or a lone "\r", and a byte-order mark at its start is dropped.
+    Empty lines at the end are ignored.  Every other line holds exactly one
+    tab between a non-empty user and a non-empty item; the first line that
+    does not raises DataFormatError with its line number.  Repeated pairs
+    collapse to the first one; an empty file is an error.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read interactions {path}: {exc}") from exc
@@ -116,29 +149,22 @@ def load_interactions(path) -> InteractionDataset:
         lines.pop()
     if not lines:
         raise DataFormatError(f"{path}: no interactions")
-    user_ids: dict[str, int] = {}
-    item_ids: dict[str, int] = {}
-    seen: set[tuple[int, int]] = set()
-    pair_list: list[tuple[int, int]] = []
-    for lineno, line in enumerate(lines, start=1):
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise DataFormatError(
-                f"{path}: line {lineno}: expected 'user<TAB>item', got {line!r}"
-            )
-        user, item = parts
-        u = user_ids.setdefault(user, len(user_ids))
-        i = item_ids.setdefault(item, len(item_ids))
-        if (u, i) not in seen:
-            seen.add((u, i))
-            pair_list.append((u, i))
-    pairs = np.asarray(pair_list, dtype=np.int64)
+    # one tab per line puts line n's user and item at tokens 2n and 2n + 1
+    tabs = list(map(str.count, lines, itertools.repeat("\t")))
+    tokens = "\t".join(lines).split("\t")
+    if tabs.count(1) != len(lines) or "" in tokens:
+        _raise_first_bad_line(path, lines)
+    users, user_labels = _first_appearance_ids(tokens[0::2])
+    items, item_labels = _first_appearance_ids(tokens[1::2])
+    # each pair's first occurrence, in file order
+    _, first = np.unique(users * len(item_labels) + items, return_index=True)
+    first.sort()
     return make_dataset(
-        num_users=len(user_ids),
-        num_items=len(item_ids),
-        pairs=pairs,
-        user_labels=list(user_ids),
-        item_labels=list(item_ids),
+        num_users=len(user_labels),
+        num_items=len(item_labels),
+        pairs=np.column_stack([users[first], items[first]]),
+        user_labels=user_labels,
+        item_labels=item_labels,
     )
 
 

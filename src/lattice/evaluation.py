@@ -140,7 +140,7 @@ def evaluate(
         held = part.user_positives[u]
         if held.size == 0:
             continue
-        relevant = set(int(i) for i in held)
+        relevant = set(held.tolist())
         excluded = split.train.user_positives[u]
         if partition == "test":
             excluded = np.concatenate([excluded, split.valid.user_positives[u]])

@@ -187,6 +187,19 @@ class TestConfigParsing:
         assert good.interactions_path.is_file()
 
 
+    def test_byte_order_mark_is_dropped(self, workspace, tmp_path):
+        # a UTF-8 BOM must not become part of the first key
+        plain = load_run_config(workspace / "run.cfg")
+        marked_path = workspace / "run_bom.cfg"
+        marked_path.write_text("\ufeff" + BASE_CONFIG, encoding="utf-8")
+        try:
+            marked = load_run_config(marked_path)
+        finally:
+            marked_path.unlink()
+        assert marked.values == plain.values
+        assert marked.base_dir == plain.base_dir
+
+
 REQUIRED_KEYS = 'interactions = "a.tsv"\nfeatures = {"i": "b"}\nout_dir = "o"\n'
 
 # Per model or training key: values on the inside of each bound, and values
@@ -341,6 +354,15 @@ class TestTrain:
         code = main(["train", "--config", str(cfg_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_config_reports_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "r.cfg"
+        cfg_path.write_bytes(("# caf\u00e9\n" + BASE_CONFIG).encode("latin-1"))
+        code = main(["train", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot read config {cfg_path}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("text", ["1e400", "1" + "0" * 400], ids=["exponent", "digits"])
     @pytest.mark.parametrize("key", ["learning_rate", "l2_coeff", "fuse_lambda", "item_fraction"])

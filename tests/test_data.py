@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lattice.data import (
@@ -83,6 +83,81 @@ class TestLoadInteractions:
         path = write_tsv(tmp_path / "x.tsv", [("usuário", "libro"), ("б", "ч")])
         ds = load_interactions(path)
         assert ds.user_labels == ("usuário", "б")
+
+
+    def test_line_with_two_tabs_rejected_despite_tab_total(self, tmp_path):
+        # two lines, two tabs: only a per-line count catches line 1
+        path = tmp_path / "bad.tsv"
+        path.write_text("a\nb\tc\td\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="line 1: expected"):
+            load_interactions(path)
+
+    def test_trailing_blank_lines_ignored(self, tmp_path):
+        path = tmp_path / "x.tsv"
+        path.write_bytes(b"a\tx\r\nb\ty\n\r\n\n")
+        ds = load_interactions(path)
+        assert ds.pairs.tolist() == [[0, 0], [1, 1]]
+
+    def test_blank_middle_line_rejected(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("a\tx\n\nb\ty\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="line 2: expected"):
+            load_interactions(path)
+
+    def test_lone_carriage_return_ends_a_line(self, tmp_path):
+        path = tmp_path / "x.tsv"
+        path.write_bytes(b"a\tx\rb\ty\r\na\ty")
+        ds = load_interactions(path)
+        assert ds.user_labels == ("a", "b")
+        assert ds.pairs.tolist() == [[0, 0], [1, 1], [0, 1]]
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        rows = [("u1", "x"), ("u2", "y"), ("u1", "y")]
+        plain = load_interactions(write_tsv(tmp_path / "plain.tsv", rows))
+        marked_path = tmp_path / "marked.tsv"
+        marked_path.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.tsv").read_bytes())
+        marked = load_interactions(marked_path)
+        assert marked.user_labels == plain.user_labels == ("u1", "u2")
+        assert np.array_equal(marked.pairs, plain.pairs)
+
+    # whole lines, with repeats and every line ending, and loose pieces
+    LINES = ["a\tb\n", "a\tb\r\n", "b\t\u00e9\r", "\u00e9 \ta\n", "b\tb\n", "\n", "\r\n"]
+    PIECES = ["a", "b", "\u00e9", " ", "\t", "\n", "\r\n", "\r"]
+
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        pieces=st.one_of(
+            st.lists(st.sampled_from(LINES), max_size=12),
+            st.lists(st.sampled_from(LINES + PIECES), max_size=16),
+        ),
+        bom=st.booleans(),
+    )
+    def test_matches_loop(self, tmp_path, pieces, bom):
+        path = tmp_path / "x.tsv"
+        path.write_bytes(("\ufeff" * bom + "".join(pieces)).encode("utf-8"))
+        outcomes = []
+        for load in (load_interactions, loop_load_interactions):
+            try:
+                outcomes.append(load(path))
+            except DataFormatError as exc:
+                outcomes.append(str(exc))
+        got, want = outcomes
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            return
+        assert (got.num_users, got.num_items) == (want.num_users, want.num_items)
+        assert got.user_labels == want.user_labels
+        assert got.item_labels == want.item_labels
+        assert got.pairs.dtype == want.pairs.dtype == np.int64
+        assert np.array_equal(got.pairs, want.pairs)
+        assert len(got.user_positives) == len(want.user_positives)
+        for g, w in zip(got.user_positives, want.user_positives):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
 
 
 class TestMakeDataset:
@@ -192,6 +267,43 @@ def loop_positives(num_users, pairs):
     return [np.array(sorted(b), dtype=np.int64) for b in buckets]
 
 
+def loop_load_interactions(path):
+    """The per-line parse and dedup load_interactions is defined by: the reference."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            raw = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read interactions {path}: {exc}") from exc
+    lines = raw.split("\n")
+    while lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise DataFormatError(f"{path}: no interactions")
+    user_ids, item_ids = {}, {}
+    seen, pair_list = set(), []
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise DataFormatError(
+                f"{path}: line {lineno}: expected 'user<TAB>item', got {line!r}"
+            )
+        user, item = parts
+        u = user_ids.setdefault(user, len(user_ids))
+        i = item_ids.setdefault(item, len(item_ids))
+        if (u, i) not in seen:
+            seen.add((u, i))
+            pair_list.append((u, i))
+    pairs = np.asarray(pair_list, dtype=np.int64)
+    return InteractionDataset(
+        len(user_ids),
+        len(item_ids),
+        pairs,
+        tuple(loop_positives(len(user_ids), pairs)),
+        user_labels=tuple(user_ids),
+        item_labels=tuple(item_ids),
+    )
+
+
 def loop_split_warm(ds, seed):
     """The per-user, per-pair loop split_warm is defined by: the reference."""
     rng = np.random.default_rng(seed)
@@ -236,6 +348,31 @@ class TestAgainstLoops:
             for got, ref in zip(ds.user_positives, want):
                 assert got.dtype == np.int64
                 assert np.array_equal(got, ref)
+
+    def test_positives_of_no_pairs(self):
+        positives, repeated = _positives_per_user(3, np.empty((0, 2), dtype=np.int64))
+        assert not repeated
+        assert len(positives) == 3
+        assert all(p.dtype == np.int64 and p.size == 0 for p in positives)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_positives_with_ids_past_an_int64_key(self, seed):
+        # num_users * (largest item + 1) exceeds int64, so a key of
+        # user * width + item would wrap
+        big = np.iinfo(np.int64).max
+        pool = np.array([0, 1, 2**31, 2**62, big - 2, big - 1], dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        pairs = np.column_stack([rng.permutation(np.arange(8) % 4), rng.choice(pool, 8)])
+        positives, repeated = _positives_per_user(4, pairs)
+        assert repeated == (np.unique(pairs, axis=0).shape[0] != pairs.shape[0])
+        for got, ref in zip(positives, loop_positives(4, pairs), strict=True):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ref)
+        if repeated:
+            with pytest.raises(DataFormatError, match="duplicate"):
+                make_dataset(4, big, pairs)
+        else:
+            assert make_dataset(4, big, pairs).num_pairs == 8
 
     def test_split_warm_matches_loop(self):
         for ds in self.datasets():
