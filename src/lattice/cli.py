@@ -1,12 +1,11 @@
 """Command-line entry points: prepare, train, evaluate, sweep.
 
 Every subcommand takes --config pointing at a key = value file; outputs land
-in the config's out_dir unless --out overrides it.  All outputs embed the
-digest of the resolved config.  LATTICE_THREADS caps how many sweep points
-run as parallel worker processes (default 1, sequential).  Each worker's
-BLAS still starts one thread per core, so with more than one worker set
-OPENBLAS_NUM_THREADS=1 as well: on a 2-core box a 2-worker sweep ran slower
-than the serial one without it and about 1.5x faster than serial with it.
+in the config's out_dir unless --out overrides it.  A relative --out resolves
+against the working directory, like --checkpoint.  All outputs embed the
+digest of the resolved config.  A sweep point is a train followed by a test
+evaluate into out_dir/sweep_<axis>/<value>; points run in order in this
+process.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import RunConfig, load_run_config
@@ -74,7 +72,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None, help="checkpoint path (default: out_dir/checkpoint.bin)")
     p.add_argument("--partition", choices=("valid", "test"), default="test")
 
-    p = sub.add_parser("sweep", help="retrain across one hyperparameter axis")
+    p = sub.add_parser(
+        "sweep",
+        help="train and test-evaluate one point per axis value, in order, "
+        "then tabulate the test metrics",
+    )
     common(p)
     p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument("--values", required=True, help="comma-separated axis values")
@@ -216,50 +218,21 @@ def _parse_axis_values(axis: str, raw: str) -> list:
     return deduped
 
 
-def _sweep_point(cfg: RunConfig, axis: str, value) -> dict:
-    """Train and test-evaluate one sweep point, whose config cfg already holds value.
-
-    Runs in a worker process when the sweep is parallel; cfg pickles.
-    """
-    split, features = _load_split(cfg)
-    model_cfg = cfg.model_config()
-    result = fit(model_cfg, cfg.train_config(), split, features)
-    report = evaluate(
-        result.params,
-        model_cfg,
-        split,
-        features,
-        "test",
-        cutoffs=cfg["cutoffs"],
-        inputs=result.inputs,
-    )
-    point_dir = cfg.out_dir / f"sweep_{axis}" / str(value)
-    point_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(
-        point_dir / CHECKPOINT_NAME,
-        model_cfg,
-        result.params,
-        meta={"config_digest": cfg.digest(), "axis": axis, "value": value},
-    )
-    payload = report.as_dict()
-    payload["config_digest"] = cfg.digest()
-    payload["axis"] = axis
-    payload["value"] = value
-    _write_json(point_dir / "report_test.json", payload)
-    return payload
-
-
 def cmd_sweep(cfg: RunConfig, out_dir: Path, axis: str, values_raw: str) -> int:
     values = _parse_axis_values(axis, values_raw)
-    # every point's config is checked before any point trains
-    points = [cfg.with_values(**{_AXIS_KEYS[axis]: value}) for value in values]
-    axes = [axis] * len(values)
-    threads = _worker_count()
-    if threads > 1 and len(values) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(values))) as pool:
-            payloads = list(pool.map(_sweep_point, points, axes, values))
-    else:
-        payloads = list(map(_sweep_point, points, axes, values))
+    # every point's config is checked before any point trains; the point's
+    # out_dir is absolute because with_values resolves a relative one again
+    sweep_dir = out_dir.absolute() / f"sweep_{axis}"
+    points = [
+        cfg.with_values(**{_AXIS_KEYS[axis]: value, "out_dir": str(sweep_dir / str(value))})
+        for value in values
+    ]
+    payloads = []
+    for point in points:
+        point.out_dir.mkdir(parents=True, exist_ok=True)
+        cmd_train(point, point.out_dir, None)
+        cmd_evaluate(point, point.out_dir, None, "test")
+        payloads.append(json.loads((point.out_dir / "report_test.json").read_text("utf-8")))
 
     cutoffs = cfg["cutoffs"]
     table_path = out_dir / f"sweep_{axis}.tsv"
@@ -279,23 +252,12 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, axis: str, values_raw: str) -> int:
     return 0
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("LATTICE_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"LATTICE_THREADS must be an integer, got {raw!r}") from exc
-    if count < 1:
-        raise ConfigError(f"LATTICE_THREADS must be at least 1, got {count}")
-    return count
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config)
         if args.out is not None:
-            cfg = cfg.with_values(out_dir=args.out)
+            cfg = cfg.with_values(out_dir=str(Path(args.out).absolute()))
         out_dir = cfg.out_dir
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "prepare":

@@ -39,6 +39,9 @@ seed = 0
 cutoffs = [5, 20]
 """
 
+# what train plus a test evaluate leave in a sweep point's directory
+POINT_FILES = ["checkpoint.bin", "report_test.json", "split_manifest.json", "train_log.jsonl"]
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -560,10 +563,7 @@ class TestSweep:
         assert lines[1].split("\t")[0] == "0"
         assert lines[2].split("\t")[0] == "3"
         for point in ("0", "3"):
-            point_dir = out / "sweep_k" / point
-            assert (point_dir / "checkpoint.bin").is_file()
-            report = json.loads((point_dir / "report_test.json").read_text())
-            assert report["axis"] == "k"
+            assert sorted(p.name for p in (out / "sweep_k" / point).iterdir()) == POINT_FILES
         # table entries parse back to the report values exactly
         row = lines[2].split("\t")
         report3 = json.loads((out / "sweep_k" / "3" / "report_test.json").read_text())
@@ -660,24 +660,6 @@ class TestSweep:
         assert "k: invalid int value -1" in capsys.readouterr().err
         assert not (out / "sweep_k").exists()
 
-    def test_worker_count_env_validated(self, workspace, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("LATTICE_THREADS", "zero")
-        code = main(
-            [
-                "sweep",
-                "--config",
-                str(workspace / "run.cfg"),
-                "--out",
-                str(tmp_path / "sw"),
-                "--axis",
-                "k",
-                "--values",
-                "3",
-            ]
-        )
-        assert code == 1
-        assert "LATTICE_THREADS" in capsys.readouterr().err
-
     def test_serial_sweep_reads_the_config_once(self, workspace, tmp_path, monkeypatch):
         # each point's config is derived from the one main loaded
         calls = []
@@ -687,39 +669,78 @@ class TestSweep:
             return load_run_config(path)
 
         monkeypatch.setattr(lattice.cli, "load_run_config", counting)
-        monkeypatch.setenv("LATTICE_THREADS", "1")
         argv = ["sweep", "--config", str(workspace / "run.cfg"), "--out", str(tmp_path / "sw"),
                 "--axis", "k", "--values", "0,3"]
         assert main(argv) == 0
         assert len(calls) == 1
 
-    def test_parallel_workers_match_serial(self, workspace, tmp_path, monkeypatch):
-        serial_out = tmp_path / "serial"
-        parallel_out = tmp_path / "parallel"
+    def test_point_is_a_train_plus_an_evaluate(self, workspace, tmp_path):
+        config = str(workspace / "run.cfg")
+        assert main(["sweep", "--config", config, "--out", str(tmp_path), "--axis", "k",
+                     "--values", "3"]) == 0
+        point = tmp_path / "sweep_k" / "3"
+        names = ("checkpoint.bin", "split_manifest.json", "report_test.json")
+        swept = {name: (point / name).read_bytes() for name in names}
+        swept_log = _log_without_seconds(point)
+        # the config's own k is 3, so with --out at the point's directory the
+        # resolved config, and with it every digest, is the point's
+        assert main(["train", "--config", config, "--out", str(point)]) == 0
+        assert main(["evaluate", "--config", config, "--out", str(point)]) == 0
+        for name in names:
+            assert (point / name).read_bytes() == swept[name], name
+        assert _log_without_seconds(point) == swept_log
 
-        def args(out):
-            return [
-                "sweep",
-                "--config",
-                str(workspace / "run.cfg"),
-                "--out",
-                str(out),
-                "--axis",
-                "k",
-                "--values",
-                "0,3",
-            ]
+    def test_failed_point_leaves_no_table(self, workspace, tmp_path, monkeypatch, capsys):
+        real_fit = lattice.cli.fit
+        calls = []
 
-        monkeypatch.setenv("LATTICE_THREADS", "1")
-        assert main(args(serial_out)) == 0
-        monkeypatch.setenv("LATTICE_THREADS", "2")
-        assert main(args(parallel_out)) == 0
-        serial = (serial_out / "sweep_k.tsv").read_text().splitlines()
-        parallel = (parallel_out / "sweep_k.tsv").read_text().splitlines()
-        # metric columns agree; the value column too, trivially
-        assert [ln.split("\t")[1:] for ln in serial] == [
-            ln.split("\t")[1:] for ln in parallel
-        ]
+        def fail_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise GradientError("non-finite gradient for parameter user_emb")
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(lattice.cli, "fit", fail_second)
+        out = tmp_path / "sw"
+        argv = ["sweep", "--config", str(workspace / "run.cfg"), "--out", str(out),
+                "--axis", "k", "--values", "0,3"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite gradient") and err.count("\n") == 1
+        assert not (out / "sweep_k.tsv").exists()
+        assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+        assert sorted(p.name for p in (out / "sweep_k" / "0").iterdir()) == POINT_FILES
+        assert not (out / "sweep_k" / "3" / "checkpoint.bin").exists()
+
+    def test_relative_out_resolves_against_working_directory(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        cfg_dir = tmp_path / "cfgdir"
+        cfg_dir.mkdir()
+        inputs = ("run.cfg", "interactions.tsv", "features_content.latf")
+        for name in inputs:
+            (cfg_dir / name).write_bytes((workspace / name).read_bytes())
+        monkeypatch.chdir(tmp_path)
+        config = "cfgdir/run.cfg"
+        assert main(["prepare", "--config", config, "--out", "prep"]) == 0
+        assert (tmp_path / "prep" / "split_manifest.json").is_file()
+        assert main(["sweep", "--config", config, "--out", "sw", "--axis", "k",
+                     "--values", "3"]) == 0
+        assert (tmp_path / "sw" / "sweep_k.tsv").is_file()
+        assert (tmp_path / "sw" / "sweep_k" / "3" / "report_test.json").is_file()
+        assert sorted(p.name for p in cfg_dir.iterdir()) == sorted(inputs)
+        # without --out the config's own out_dir resolves once, beside it
+        assert main(["sweep", "--config", config, "--axis", "k", "--values", "3"]) == 0
+        assert (cfg_dir / "run" / "sweep_k" / "3" / "report_test.json").is_file()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfgdir", "prep", "sw"]
+
+
+def _log_without_seconds(out_dir: Path) -> list:
+    lines = (out_dir / "train_log.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    for record in records:
+        del record["seconds"]
+    return records
 
 
 class TestAtomicOutputs:
