@@ -55,7 +55,6 @@ from .training import (
     FitResult,
     TrainConfig,
     adam_step,
-    batch_loss,
     bpr_loss,
     compute_gradients,
     fit,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,7 +22,6 @@ from .data import (
     load_interactions,
     split_cold,
     split_warm,
-    temp_beside,
     write_atomic,
 )
 from .errors import CheckpointError, ConfigError, LatticeError
@@ -137,30 +135,23 @@ def cmd_train(cfg: RunConfig, out_dir: Path, checkpoint_arg: str | None) -> int:
         )
     split, features = _load_split(cfg)
     model_cfg = cfg.model_config()
-    # the log streams into a temp file and replaces the old one only once the
-    # checkpoint is written, so a failed run leaves the previous run whole
-    log_path = out_dir / TRAIN_LOG_NAME
-    tmp_log = temp_beside(log_path)
+    result = fit(model_cfg, cfg.train_config(), split, features)
+    # checkpoint, then log, then manifest, each replaced whole by write_atomic:
+    # a run that fails in fit leaves the previous run's files as they were
     ckpt_path = out_dir / CHECKPOINT_NAME
-    try:
-        with open(tmp_log, "w", encoding="utf-8") as log_stream:
-            result = fit(model_cfg, cfg.train_config(), split, features, log_stream=log_stream)
-            os.fsync(log_stream.fileno())
-        save_checkpoint(
-            ckpt_path,
-            model_cfg,
-            result.params,
-            meta={
-                "config_digest": cfg.digest(),
-                "best_epoch": result.best_epoch,
-                "epochs_run": len(result.history),
-                "best_val_recall": result.history[result.best_epoch - 1].val_recall,
-            },
-        )
-        os.replace(tmp_log, log_path)
-    except BaseException:
-        tmp_log.unlink(missing_ok=True)
-        raise
+    save_checkpoint(
+        ckpt_path,
+        model_cfg,
+        result.params,
+        meta={
+            "config_digest": cfg.digest(),
+            "best_epoch": result.best_epoch,
+            "epochs_run": len(result.history),
+            "best_val_recall": result.history[result.best_epoch - 1].val_recall,
+        },
+    )
+    log = "".join(json.dumps(r.as_log_entry()) + "\n" for r in result.history)
+    write_atomic(out_dir / TRAIN_LOG_NAME, [log.encode("utf-8")])
     _write_manifest(cfg, split, out_dir)
     print(f"wrote {ckpt_path} (best epoch {result.best_epoch})")
     return 0
@@ -269,10 +260,14 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir, args.axis, args.values)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (LatticeError, OSError) as exc:
+    except (LatticeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -315,11 +315,6 @@ class ModalityFeatures:
         return int(self.matrix.shape[1])
 
 
-def temp_beside(path: Path) -> Path:
-    """The temp file an atomic write of path goes to before it is renamed."""
-    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
-
-
 def write_atomic(path, chunks: Iterable[bytes]) -> None:
     """Replace path with the concatenated chunks, or leave it untouched.
 
@@ -328,7 +323,7 @@ def write_atomic(path, chunks: Iterable[bytes]) -> None:
     file, so readers see either the previous file or the complete new one.
     """
     path = Path(path)
-    tmp = temp_beside(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:

@@ -6,11 +6,10 @@ those gradients to model.backward_pass, which knows the model's insides.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import Mapping, TextIO
+from typing import Mapping
 
 import numpy as np
 from scipy.special import expit
@@ -132,28 +131,6 @@ def _triple_scores(
     return pos_s, neg_s
 
 
-def _objective(cfg, train_cfg, params, inputs, batch, graph):
-    """The batch loss, with the forward pass, checked batch and scores it used."""
-    users, pos, neg = _check_batch(batch, inputs.num_users, inputs.num_items)
-    out, cache = forward_pass(cfg, params, inputs, graph)
-    pos_s, neg_s = _triple_scores(out, users, pos, neg)
-    loss = bpr_loss(pos_s, neg_s)
-    tables = params.user_emb[users], params.item_emb[pos], params.item_emb[neg]
-    loss += l2_penalty(*tables, train_cfg.l2_coeff)
-    return loss, out, cache, (users, pos, neg), (pos_s, neg_s)
-
-
-def batch_loss(
-    cfg: ModelConfig,
-    train_cfg: TrainConfig,
-    params: ParameterSet,
-    inputs: ModelInputs,
-    batch,
-) -> float:
-    """Ranking loss plus embedding penalty of one batch, forward only."""
-    return _objective(cfg, train_cfg, params, inputs, batch, None)[0]
-
-
 def compute_gradients(
     cfg: ModelConfig,
     train_cfg: TrainConfig,
@@ -164,11 +141,16 @@ def compute_gradients(
 ) -> tuple[float, dict, ForwardCache]:
     """Loss and analytic gradients of one batch of (user, pos, neg) triples.
 
-    A supplied graph is frozen (see backward_pass).  Raises GradientError if
-    any gradient comes back non-finite.
+    The loss is the ranking loss plus the embedding penalty, the objective the
+    gradients differentiate.  A supplied graph is frozen (see backward_pass).
+    Raises GradientError if any gradient comes back non-finite.
     """
-    loss, out, cache, (users, pos, neg), (pos_s, neg_s) = _objective(
-        cfg, train_cfg, params, inputs, batch, graph
+    users, pos, neg = _check_batch(batch, inputs.num_users, inputs.num_items)
+    out, cache = forward_pass(cfg, params, inputs, graph)
+    pos_s, neg_s = _triple_scores(out, users, pos, neg)
+    # the gathered rows are freed before the backward pass, not held through it
+    loss = bpr_loss(pos_s, neg_s) + l2_penalty(
+        params.user_emb[users], params.item_emb[pos], params.item_emb[neg], train_cfg.l2_coeff
     )
 
     n_triples = users.size
@@ -282,7 +264,6 @@ def fit(
     train_cfg: TrainConfig,
     split,
     features: Mapping[str, ModalityFeatures],
-    log_stream: TextIO | None = None,
     inputs: ModelInputs | None = None,
 ) -> FitResult:
     """Train with per-epoch negative resampling and early stopping.
@@ -292,7 +273,8 @@ def fit(
     disables early stopping: the run goes the full max_epochs and returns the
     final parameters.  Parameter initialization and the shuffle/negative
     stream use separate generators derived from the seed, so configs that
-    share table shapes share their table initializations.
+    share table shapes share their table initializations.  history holds
+    each epoch's EpochRecord, whose as_log_entry() is its train-log line.
     """
     if split.train.num_pairs == 0:
         raise ValueError("training requires a non-empty train partition")
@@ -369,9 +351,6 @@ def fit(
             seconds=time.perf_counter() - started,
         )
         history.append(record)
-        if log_stream is not None:
-            log_stream.write(json.dumps(record.as_log_entry()) + "\n")
-            log_stream.flush()
 
         # without validation every epoch is the best yet; the last one is returned
         if not has_valid or val_recall > best_recall:

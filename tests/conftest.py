@@ -16,7 +16,7 @@ import pytest
 from lattice.data import ModalityFeatures, make_dataset
 from lattice.graph import transform_features, unit_rows
 from lattice.model import ModelConfig, build_inputs
-from lattice.training import batch_loss, init_parameters
+from lattice.training import compute_gradients, init_parameters
 
 TINY_USERS = 4
 TINY_ITEMS = 6
@@ -109,9 +109,9 @@ def central_differences(objective, params, step=FD_STEP):
 
 
 def finite_difference_gradients(cfg, train_cfg, params, inputs, batch, step=FD_STEP):
-    """Central differences of batch_loss in every parameter coordinate."""
+    """Central differences of compute_gradients' loss in every parameter coordinate."""
     return central_differences(
-        lambda: batch_loss(cfg, train_cfg, params, inputs, batch), params, step
+        lambda: compute_gradients(cfg, train_cfg, params, inputs, batch)[0], params, step
     )
 
 

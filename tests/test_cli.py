@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -285,6 +286,20 @@ class TestPrepare:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert out.read_text(encoding="utf-8") == "a regular file\n"
 
+    def test_runs_as_python_dash_m_module(self, workspace, tmp_path):
+        src = Path(lattice.cli.__file__).resolve().parents[1]
+        out = tmp_path / "m"
+        argv = ["prepare", "--config", str(workspace / "run.cfg"), "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "lattice.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "split_manifest.json").is_file()
+
     def test_dump_graphs_writes_tsv_and_meta(self, workspace, tmp_path):
         out = tmp_path / "prep"
         code = main(
@@ -310,11 +325,16 @@ class TestPrepare:
 
 class TestTrain:
     def test_outputs_and_log_schema(self, workspace, trained):
-        assert (trained / "checkpoint.bin").is_file()
+        from lattice.model import load_checkpoint
+
         assert (trained / "split_manifest.json").is_file()
+        _, _, meta = load_checkpoint(trained / "checkpoint.bin")
         lines = (trained / "train_log.jsonl").read_text().splitlines()
         assert 1 <= len(lines) <= 3
-        entry = json.loads(lines[0])
+        assert len(lines) == meta["epochs_run"]
+        entries = [json.loads(line) for line in lines]
+        assert [e["epoch"] for e in entries] == list(range(1, len(lines) + 1))
+        entry = entries[0]
         assert set(entry) == {
             "epoch",
             "train_loss",
@@ -406,6 +426,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert code == 1
         assert err == "error: item_fraction 0.2 selects fewer than 2 of 8 items\n"
+
+    def test_unallocatable_config_reports_error(self, workspace, tmp_path, capsys):
+        # the first table would need petabytes; numpy refuses it before allocating
+        cfg_path = workspace / "huge.cfg"
+        cfg_path.write_text(
+            BASE_CONFIG.replace("embed_dim = 8", "embed_dim = 1000000000000000"),
+            encoding="utf-8",
+        )
+        argv = ["--config", str(cfg_path), "--out", str(tmp_path / "huge")]
+        code = main(["train"] + argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+        assert "1000000000000000" in err
 
 
 class TestEvaluate:
@@ -750,6 +784,7 @@ class TestAtomicOutputs:
             (["prepare"], "split_manifest.json"),
             (["evaluate", "--partition", "test"], "report_test.json"),
             (["sweep", "--axis", "k", "--values", "3"], "sweep_k.tsv"),
+            (["train"], "train_log.jsonl"),
         ],
     )
     def test_failed_rewrite_keeps_previous_output(
@@ -784,9 +819,7 @@ class TestAtomicOutputs:
         for name in names:
             (out / name).write_bytes((trained / name).read_bytes())
 
-        def failing_fit(model_cfg, train_cfg, split, features, log_stream):
-            log_stream.write('{"epoch": 1}\n')
-            log_stream.flush()
+        def failing_fit(model_cfg, train_cfg, split, features):
             raise GradientError("non-finite gradient for parameter user_emb")
 
         monkeypatch.setattr(lattice.cli, "fit", failing_fit)

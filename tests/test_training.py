@@ -394,28 +394,6 @@ class TestFitLoop:
         last = result.history[-1].train_loss
         assert last < 0.6 * first
 
-    def test_log_stream_receives_one_json_line_per_epoch(self, tmp_path):
-        import io
-        import json
-
-        split = ladder_split()
-        cfg = ModelConfig(backend="mf", variant="base", embed_dim=4)
-        train_cfg = TrainConfig(batch_size=16, max_epochs=3, patience=10, seed=0)
-        stream = io.StringIO()
-        result = fit(cfg, train_cfg, split, {}, log_stream=stream)
-        lines = [ln for ln in stream.getvalue().splitlines() if ln]
-        assert len(lines) == len(result.history)
-        entry = json.loads(lines[0])
-        assert entry["epoch"] == 1
-        assert set(entry) == {
-            "epoch",
-            "train_loss",
-            "val_recall@20",
-            "val_ndcg@20",
-            "alpha",
-            "seconds",
-        }
-
     def test_graph_refresh_modes_share_first_batch(self):
         ds, feats = clustered_dataset(
             num_clusters=2,
