@@ -6,16 +6,19 @@ same pipeline on linearly transformed features, gets blended with the frozen
 initial graph, and the per-modality results are mixed with softmax weights.
 
 Similarity matrices are never materialized densely; rows are produced in
-blocks of at most about 8 MiB and reduced to top-k immediately, so memory
-stays that block plus the O(num_nodes * k) result.  Every block of a build
-is written into one buffer, allocated once: a fresh allocation per block
-would be page-faulted in anew each time, and above glibc's 32 MiB mmap
-threshold (256 rows at 19k items is 37.7 MiB) it would also be a fresh
-mapping.  Blocks hold raw cosines; negative ones are never kept because the
-top-k candidate threshold is at least the smallest positive float, so no
-clamp pass is needed.  Each block is read in full once: the maxima over
-strided column groups give each row a lower bound on its k-th largest value,
-and only the groups whose maximum reaches it are gathered for the exact cut.
+blocks and reduced to top-k immediately, so memory stays the unit rows, one
+block and the O(num_nodes * k) result.  A block holds as many rows as fit in
+8 MiB, but never fewer than 128, so it is at most max(8 MiB, 1 KiB per
+item): BLAS packs the whole column operand (all unit rows) on every product,
+which pays off only over enough rows (at 19k items × 128 dims, the 54-row
+blocks of the byte budget alone spent a third of their product time on
+packing).  Every block of a build is written into one buffer, allocated
+once: a fresh allocation per block would be page-faulted in anew each time.
+Blocks hold raw cosines; negative ones are never kept because the top-k
+candidate threshold is at least the smallest positive float, so no clamp
+pass is needed.  Each block is read in full once: the maxima over strided
+column groups give each row a lower bound on its k-th largest value, and
+only the groups whose maximum reaches it are gathered for the exact cut.
 
 Each differentiable stage's backward sits beside its forward and shares its
 guards: unit_rows_backward, normalize_sym_backward, and knn_cosine_backward,
@@ -39,8 +42,10 @@ import scipy.sparse as sp
 # Row norms below this are treated as zero (cosine guard, degree guard).
 NORM_EPS = 1e-12
 
-# Bytes of one similarity block during graph builds; see the module docstring.
+# Bytes of one similarity block during graph builds, and the fewest rows a
+# block holds whatever its bytes; see the module docstring.
 _BLOCK_BYTES = 8 << 20
+_MIN_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,15 +179,16 @@ def iter_cosine_rows(features: np.ndarray) -> Iterator[np.ndarray]:
     """Yield blocks of the cosine matrix, consecutive rows at a time.
 
     Entries are raw cosines, negative ones included.  A block holds as many
-    rows as fit in _BLOCK_BYTES, and at least one.  Every block is a view of
-    one buffer allocated per call, so a block is valid only until the next
-    one is drawn: copy it to keep it.  The row count of a block can move the
-    last bits of its entries (BLAS picks its kernels by shape), so the
-    layout is fixed here and no caller chooses it.
+    rows as fit in _BLOCK_BYTES, but at least _MIN_BLOCK_ROWS; the last block
+    holds the rows left.  Every block is a view of one buffer allocated per
+    call, so a block is valid only until the next one is drawn: copy it to
+    keep it.  The row count of a block can move the last bits of its entries
+    (BLAS picks its kernels by shape), so the layout is fixed here and no
+    caller chooses it.
     """
     unit, _ = unit_rows(features)
     n = unit.shape[0]
-    chunk_rows = max(1, _BLOCK_BYTES // (unit.itemsize * max(n, 1)))
+    chunk_rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (unit.itemsize * max(n, 1)))
     buffer = np.empty((min(chunk_rows, n), n))
     for start in range(0, n, chunk_rows):
         rows = unit[start : start + chunk_rows]

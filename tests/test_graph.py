@@ -242,6 +242,8 @@ class TestCosine:
     def test_chunked_rows_match_dense(self, rng, monkeypatch):
         feats = rng.standard_normal((23, 7))
         dense = dense_cosine(feats)
+        # the byte budget alone sets the rows once the floor is lifted
+        monkeypatch.setattr(graph, "_MIN_BLOCK_ROWS", 1)
         monkeypatch.setattr(graph, "_BLOCK_BYTES", 5 * 8 * 23)  # 5-row blocks
         blocks = copied_blocks(feats)
         assert [b.shape[0] for b in blocks] == [5, 5, 5, 5, 3]
@@ -371,23 +373,33 @@ def topk_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(topk_cases())
-def test_topk_matches_stable_argsort_reference(case):
-    # 37-row blocks do not divide n; few feature dims leave rows with fewer
-    # than k positive similarities
+@given(topk_cases(), st.data())
+def test_topk_matches_stable_argsort_reference(case, data):
+    # every block layout, from one row per block to one block; few feature
+    # dims leave rows with fewer than k positive similarities
     feats, k = case
     n = feats.shape[0]
-    with mock.patch.object(graph, "_BLOCK_BYTES", 37 * 8 * n):  # 37-row blocks
+    rows = data.draw(st.integers(1, n + 1), label="block rows")
+    # the floor alone sets the rows once the byte budget is zero
+    with (
+        mock.patch.object(graph, "_BLOCK_BYTES", 0),
+        mock.patch.object(graph, "_MIN_BLOCK_ROWS", rows),
+    ):
         got = topk_sparsify(iter_cosine_rows(feats), k, n)
-        sim = np.vstack(copied_blocks(feats))
-    indptr, indices, values = stable_topk_reference(sim, k)
+        blocks = copied_blocks(feats)
+    assert [b.shape[0] for b in blocks] == [min(rows, n - s) for s in range(0, n, rows)]
+    indptr, indices, values = stable_topk_reference(np.vstack(blocks), k)
     assert np.array_equal(got.indptr, indptr)
     assert np.array_equal(got.indices, indices)
     assert got.values.tobytes() == values.tobytes()
 
 
 class TestDefaultBlocks:
-    """Default blocks at a multi-block size: 5,000 items, 2-d features."""
+    """Default blocks at a multi-block size: 5,000 items, 2-d features.
+
+    A block holds as many rows as fit in 8 MiB, but at least 128.  Below
+    8,192 items the byte budget sets the rows; here it gives 209.
+    """
 
     n, k = 5000, 10
 
@@ -396,10 +408,9 @@ class TestDefaultBlocks:
 
     def test_blocks_stay_within_byte_budget_and_cover_rows(self):
         sizes = [(b.shape, b.nbytes) for b in iter_cosine_rows(self.features())]
-        assert len(sizes) > 1
+        assert [shape for shape, _ in sizes] == [(209, self.n)] * 23 + [(193, self.n)]
         assert all(nbytes <= graph._BLOCK_BYTES for _, nbytes in sizes)
-        assert all(shape[1] == self.n for shape, _ in sizes)
-        assert sum(shape[0] for shape, _ in sizes) == self.n
+        assert 209 * self.n * 8 <= graph._BLOCK_BYTES < 210 * self.n * 8
 
     def test_blocks_reuse_one_buffer_within_byte_budget(self):
         blocks = list(iter_cosine_rows(self.features()))
@@ -437,6 +448,36 @@ class TestDefaultBlocks:
             # every clearly-above-the-cut column is kept (kept columns are distinct)
             clear = sim > kth + 1e-12
             assert np.array_equal(clear.sum(axis=1), (at_got > kth + 1e-12).sum(axis=1))
+
+
+class TestFlooredBlocks:
+    """Default blocks past the crossover: 8,200 items, 2-d features.
+
+    The byte budget gives 127 rows here, so the 128-row floor sets them.
+    """
+
+    n, k = 8200, 10
+
+    def features(self):
+        return np.random.default_rng(5).standard_normal((self.n, 2))
+
+    def test_floor_sets_rows_past_byte_budget(self):
+        assert graph._BLOCK_BYTES // (8 * self.n) == 127
+        blocks = list(iter_cosine_rows(self.features()))
+        assert [b.shape for b in blocks] == [(128, self.n)] * 64 + [(8, self.n)]
+        assert all(np.shares_memory(a, b) for a, b in zip(blocks, blocks[1:]))
+        assert blocks[0].base.nbytes == 128 * self.n * 8
+
+    def test_graph_matches_topk_of_copied_blocks(self):
+        # copied one at a time: the whole matrix would be 538 MB
+        feats = self.features()
+        got = knn_cosine_graph(feats, self.k)
+        want = topk_sparsify(
+            (block.copy() for block in iter_cosine_rows(feats)), self.k, self.n
+        )
+        assert got.indptr.tobytes() == want.indptr.tobytes()
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
