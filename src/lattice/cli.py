@@ -1,11 +1,12 @@
 """Command-line entry points: prepare, train, evaluate, sweep.
 
 Every subcommand takes --config pointing at a key = value file; outputs land
-in the config's out_dir unless --out overrides it.  A relative --out resolves
-against the working directory, like --checkpoint.  All outputs embed the
-digest of the resolved config.  A sweep point is a train followed by a test
-evaluate into out_dir/sweep_<axis>/<value>; points run in order in this
-process.
+in the config's out_dir unless --out overrides it; main applies --out to the
+config and makes the directory, and each cmd_* writes into cfg.out_dir.  A
+relative --out resolves against the working directory, like --checkpoint.
+All outputs embed the digest of the resolved config.  A sweep point is a
+train followed by a test evaluate into out_dir/sweep_<axis>/<value>; points
+run in order in this process.
 """
 
 from __future__ import annotations
@@ -99,17 +100,17 @@ def _write_json(path: Path, payload: dict) -> None:
     write_atomic(path, [text.encode("utf-8")])
 
 
-def _write_manifest(cfg: RunConfig, split: Split, out_dir: Path) -> Path:
+def _write_manifest(cfg: RunConfig, split: Split) -> Path:
     manifest = split.manifest()
     manifest["config_digest"] = cfg.digest()
-    path = out_dir / MANIFEST_NAME
+    path = cfg.out_dir / MANIFEST_NAME
     _write_json(path, manifest)
     return path
 
 
-def cmd_prepare(cfg: RunConfig, out_dir: Path, dump_graphs: bool) -> int:
+def cmd_prepare(cfg: RunConfig, dump_graphs: bool) -> int:
     split, features = _load_split(cfg)
-    path = _write_manifest(cfg, split, out_dir)
+    path = _write_manifest(cfg, split)
     print(f"wrote {path}")
     if dump_graphs:
         k = cfg["k"]
@@ -123,12 +124,12 @@ def cmd_prepare(cfg: RunConfig, out_dir: Path, dump_graphs: bool) -> int:
                 "mixture_weights": {name: 1.0 / n_mod for name in features},
                 "config_digest": cfg.digest(),
             }
-            tsv, _ = write_graph_dump(graph, out_dir / f"graph_{m}", meta)
+            tsv, _ = write_graph_dump(graph, cfg.out_dir / f"graph_{m}", meta)
             print(f"wrote {tsv}")
     return 0
 
 
-def cmd_train(cfg: RunConfig, out_dir: Path, checkpoint_arg: str | None) -> int:
+def cmd_train(cfg: RunConfig, checkpoint_arg: str | None) -> int:
     if checkpoint_arg is not None:
         raise ConfigError(
             "resuming from a checkpoint is not supported; train always starts fresh"
@@ -138,7 +139,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, checkpoint_arg: str | None) -> int:
     result = fit(model_cfg, cfg.train_config(), split, features)
     # checkpoint, then log, then manifest, each replaced whole by write_atomic:
     # a run that fails in fit leaves the previous run's files as they were
-    ckpt_path = out_dir / CHECKPOINT_NAME
+    ckpt_path = cfg.out_dir / CHECKPOINT_NAME
     save_checkpoint(
         ckpt_path,
         model_cfg,
@@ -151,16 +152,14 @@ def cmd_train(cfg: RunConfig, out_dir: Path, checkpoint_arg: str | None) -> int:
         },
     )
     log = "".join(json.dumps(r.as_log_entry()) + "\n" for r in result.history)
-    write_atomic(out_dir / TRAIN_LOG_NAME, [log.encode("utf-8")])
-    _write_manifest(cfg, split, out_dir)
+    write_atomic(cfg.out_dir / TRAIN_LOG_NAME, [log.encode("utf-8")])
+    _write_manifest(cfg, split)
     print(f"wrote {ckpt_path} (best epoch {result.best_epoch})")
     return 0
 
 
-def cmd_evaluate(
-    cfg: RunConfig, out_dir: Path, checkpoint_arg: str | None, partition: str
-) -> int:
-    ckpt_path = Path(checkpoint_arg) if checkpoint_arg else out_dir / CHECKPOINT_NAME
+def cmd_evaluate(cfg: RunConfig, checkpoint_arg: str | None, partition: str) -> int:
+    ckpt_path = Path(checkpoint_arg) if checkpoint_arg else cfg.out_dir / CHECKPOINT_NAME
     model_cfg, params, _meta = load_checkpoint(ckpt_path)
     if model_cfg != cfg.model_config():
         raise CheckpointError(
@@ -185,8 +184,7 @@ def cmd_evaluate(
     )
     payload = report.as_dict()
     payload["config_digest"] = cfg.digest()
-    path = out_dir / f"report_{partition}.json"
-    _write_json(path, payload)
+    _write_json(cfg.out_dir / f"report_{partition}.json", payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -209,11 +207,11 @@ def _parse_axis_values(axis: str, raw: str) -> list:
     return deduped
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: Path, axis: str, values_raw: str) -> int:
+def cmd_sweep(cfg: RunConfig, axis: str, values_raw: str) -> int:
     values = _parse_axis_values(axis, values_raw)
     # every point's config is checked before any point trains; the point's
     # out_dir is absolute because with_values resolves a relative one again
-    sweep_dir = out_dir.absolute() / f"sweep_{axis}"
+    sweep_dir = cfg.out_dir.absolute() / f"sweep_{axis}"
     points = [
         cfg.with_values(**{_AXIS_KEYS[axis]: value, "out_dir": str(sweep_dir / str(value))})
         for value in values
@@ -221,12 +219,12 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, axis: str, values_raw: str) -> int:
     payloads = []
     for point in points:
         point.out_dir.mkdir(parents=True, exist_ok=True)
-        cmd_train(point, point.out_dir, None)
-        cmd_evaluate(point, point.out_dir, None, "test")
+        cmd_train(point, None)
+        cmd_evaluate(point, None, "test")
         payloads.append(json.loads((point.out_dir / "report_test.json").read_text("utf-8")))
 
     cutoffs = cfg["cutoffs"]
-    table_path = out_dir / f"sweep_{axis}.tsv"
+    table_path = cfg.out_dir / f"sweep_{axis}.tsv"
     header = ["value"]
     for c in cutoffs:
         header += [f"recall@{c}", f"precision@{c}", f"ndcg@{c}"]
@@ -249,16 +247,15 @@ def main(argv=None) -> int:
         cfg = load_run_config(args.config)
         if args.out is not None:
             cfg = cfg.with_values(out_dir=str(Path(args.out).absolute()))
-        out_dir = cfg.out_dir
-        out_dir.mkdir(parents=True, exist_ok=True)
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "prepare":
-            return cmd_prepare(cfg, out_dir, args.dump_graphs)
+            return cmd_prepare(cfg, args.dump_graphs)
         if args.command == "train":
-            return cmd_train(cfg, out_dir, args.checkpoint)
+            return cmd_train(cfg, args.checkpoint)
         if args.command == "evaluate":
-            return cmd_evaluate(cfg, out_dir, args.checkpoint, args.partition)
+            return cmd_evaluate(cfg, args.checkpoint, args.partition)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, args.axis, args.values)
+            return cmd_sweep(cfg, args.axis, args.values)
         raise ConfigError(f"unknown command {args.command!r}")
     except (LatticeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

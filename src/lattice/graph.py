@@ -197,14 +197,14 @@ def iter_cosine_rows(features: np.ndarray) -> Iterator[np.ndarray]:
         yield block
 
 
-def topk_sparsify(
-    sim_blocks: Iterable[np.ndarray], k: int, num_nodes: int
-) -> SparseGraph:
-    """Keep the k largest entries of each similarity row.
+def topk_sparsify(sim_blocks: Iterable[np.ndarray], k: int) -> SparseGraph:
+    """Keep the k largest entries of each row of a square similarity matrix.
 
-    Ties on the boundary value resolve toward smaller column indices.  Kept
-    entries that are exactly zero are dropped (as are negative ones), so rows
-    may hold fewer than k edges.  k = 0 yields an empty graph.
+    The blocks are its consecutive rows, so their width is the node count
+    (no blocks give 0 nodes).  Ties on the boundary value resolve toward
+    smaller column indices.  Kept entries that are exactly zero are dropped
+    (as are negative ones), so rows may hold fewer than k edges.  k = 0
+    yields an empty graph.
 
     Blocks are consumed one at a time and each is selected with whole-block
     array calls: a group-max lower bound on every row's k-th largest value
@@ -217,12 +217,16 @@ def topk_sparsify(
     # (kept entries per row, columns, values) per block; the leading 0 of the
     # seed part makes the cumulative counts the indptr
     parts = [(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
-    row_index = 0
+    num_nodes, row_index = None, 0
     for block in sim_blocks:
+        num_nodes = block.shape[1] if num_nodes is None else num_nodes
+        if block.shape[1] != num_nodes:
+            raise ValueError(f"similarity block width {block.shape[1]} is not {num_nodes}")
         if row_index + block.shape[0] > num_nodes:
             raise ValueError("more similarity rows than nodes")
         parts.append(_block_topk(block, k))
         row_index += block.shape[0]
+    num_nodes = num_nodes or 0
     if row_index != num_nodes:
         raise ValueError(f"expected {num_nodes} similarity rows, got {row_index}")
     counts, cols, vals = (np.concatenate(arrays) for arrays in zip(*parts))
@@ -247,9 +251,9 @@ def _block_topk(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.n
     k-th largest value from below; floored at the smallest positive float it
     becomes the candidate threshold.  An entry at or above it lies in the
     tail or in a group whose maximum reaches it, so only those are gathered.
-    Every kept entry is a candidate.  Rows with more than k candidates are
-    cut to the k largest, boundary ties to the smallest columns.  The
-    returned arrays are copies, never views of the block.
+    Every kept entry is a candidate.  A stable sort cuts each row's
+    candidates to the k largest, boundary ties to the smallest columns.
+    The returned arrays are copies, never views of the block.
     """
     r, n = block.shape
     if k == 0 or r == 0 or n == 0:
@@ -273,25 +277,13 @@ def _block_topk(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.n
     rows, cols = np.divmod(flat, n)
     vals = block.ravel()[flat]
     counts = np.bincount(rows, minlength=r)
-    width = int(counts.max())
-    if width <= k:
-        return counts, cols, vals
-    # pad each row's candidates into one row of a -inf matrix to find the
-    # k-th largest; rows with at most k candidates keep them all, the others
-    # keep exactly k
+    # each row's candidates, negated, in column order and padded with +inf:
+    # a stable sort puts the k largest first, ties in column order
     starts = np.cumsum(counts) - counts
-    slot = np.arange(flat.size) - starts[rows]
-    padded = np.full((r, width), -np.inf)
-    padded[rows, slot] = vals
-    padded.partition(width - k, axis=1)
-    kth = padded[:, width - k][rows]
-    above = vals > kth
-    at_kth = vals == kth
-    # 1-based rank of each boundary tie within its row, in column order
-    tie_rank = np.cumsum(at_kth)
-    tie_rank -= np.concatenate([[0], tie_rank])[starts][rows]
-    slots = k - np.bincount(rows[above], minlength=r)
-    keep = above | (at_kth & (tie_rank <= slots[rows]))
+    padded = np.full((r, counts.max()), np.inf)
+    padded[rows, np.arange(flat.size) - starts[rows]] = -vals
+    slots = np.argsort(padded, axis=1, kind="stable")[:, :k]
+    keep = np.sort((starts[:, None] + slots)[slots < counts[:, None]])
     return np.minimum(counts, k), cols[keep], vals[keep]
 
 
@@ -350,8 +342,7 @@ def prune_zeros(graph: SparseGraph) -> SparseGraph:
 
 def knn_cosine_graph(features: np.ndarray, k: int) -> SparseGraph:
     """Top-k clamped-cosine graph of the feature rows, unnormalized."""
-    n = np.asarray(features).shape[0]
-    return topk_sparsify(iter_cosine_rows(features), k, n)
+    return topk_sparsify(iter_cosine_rows(features), k)
 
 
 def knn_cosine_backward(

@@ -232,8 +232,8 @@ class ForwardCache:
 
     learned[m] = (retained, features) for each modality whose learned graph
     was built from the current parameters: the top-k cosine graph and the
-    transformed features it was scored from.  A frozen graph, k = 0 and
-    fuse_lambda = 1 build none.
+    transformed features it was scored from; k = 0 and fuse_lambda = 1 build
+    none.  fused[m] is modality m's fused graph.  A frozen pass records neither.
     """
 
     learned: dict = field(default_factory=dict)
@@ -420,14 +420,14 @@ def backward_pass(
     cache: ForwardCache,
     grad_users: np.ndarray,
     grad_items: np.ndarray,
-    frozen: bool,
 ) -> dict[str, np.ndarray]:
     """Parameter gradients from the gradients on forward_pass's two outputs.
 
-    cache is that pass's; frozen says it took its item graph as a constant,
-    so graph-structure parameters are left out.  mf's table gradients are
-    grad_users and grad_items themselves.
+    cache is that pass's; one that took its item graph as a constant recorded
+    no fused graph, so graph-structure parameters are left out.  mf's table
+    gradients are grad_users and grad_items themselves.
     """
+    frozen = not cache.fused
     grad_user_table, grad_item_table = cf_backward(cfg, inputs, grad_users, grad_items)
     if cfg.variant == "base":
         return {"user_emb": grad_user_table, "item_emb": grad_item_table}

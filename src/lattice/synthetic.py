@@ -25,6 +25,10 @@ DEFAULT_MODALITY = "content"
 # Standard deviation of the Gaussian noise around each item's centroid.
 NOISE_SCALE = 0.1
 
+# Centroid draws before clustered_dataset gives up.  The shapes in use need at
+# most 10 (seeds 0-19,999); 20 clusters in 16 dimensions need 2,400 on average.
+_MAX_CENTROID_DRAWS = 50_000
+
 
 def clustered_dataset(
     num_clusters: int = 2,
@@ -37,7 +41,7 @@ def clustered_dataset(
     """Build the clustered interactions plus the one feature modality, DEFAULT_MODALITY.
 
     Cluster centroids are +-1 sign vectors redrawn until every pair differs
-    in at least feat_dim // 3 coordinates, keeping clusters well separated.
+    in at least feat_dim // 3 coordinates (ValueError after _MAX_CENTROID_DRAWS).
     User u belongs to cluster u mod num_clusters and holds
     positives_per_user distinct items drawn from that cluster; the first
     positive walks the cluster round-robin so that every item appears in the
@@ -45,17 +49,18 @@ def clustered_dataset(
     """
     if positives_per_user > items_per_cluster:
         raise ValueError("positives_per_user cannot exceed items_per_cluster")
+    if num_clusters > 2**feat_dim:
+        raise ValueError(f"num_clusters={num_clusters} > 2**feat_dim with feat_dim={feat_dim}")
     rng = np.random.default_rng(seed)
     min_flips = max(1, feat_dim // 3)
-    while True:
+    for _ in range(_MAX_CENTROID_DRAWS):
         centroids = rng.choice((-1.0, 1.0), size=(num_clusters, feat_dim))
-        ok = all(
-            np.sum(centroids[a] != centroids[b]) >= min_flips
-            for a in range(num_clusters)
-            for b in range(a + 1, num_clusters)
-        )
-        if ok:
+        dots = centroids @ centroids.T  # rows differ in (feat_dim - dot) / 2 places
+        np.fill_diagonal(dots, -np.inf)
+        if dots.max(initial=-np.inf) <= feat_dim - 2 * min_flips:
             break
+    else:
+        raise ValueError(f"no num_clusters={num_clusters} centroids apart in feat_dim={feat_dim}")
 
     num_items = num_clusters * items_per_cluster
     clusters = np.arange(num_items) // items_per_cluster

@@ -6,6 +6,7 @@ those gradients to model.backward_pass, which knows the model's insides.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import ModalityFeatures, sample_negative
-from .errors import GradientError
+from .errors import ConfigError, GradientError
 from .evaluation import evaluate
 from .graph import SparseGraph, softmax
 from .model import (
@@ -71,8 +72,12 @@ def init_parameters(
     Tables, weight matrices and the projection (every 2-D shape) are
     Xavier-initialized; biases and mixture logits start at zero.  Tables are
     drawn first, so configs sharing a seed share their table initializations.
+    A shape too large for a float64 array raises ConfigError before any draw.
     """
     shapes = parameter_shapes(cfg, num_users, num_items, feat_dims)
+    for name, shape in shapes.items():
+        if math.prod(shape) > np.iinfo(np.intp).max // 8:
+            raise ConfigError(f"parameter {name} of shape {shape} is too big for a float64 array")
     return ParameterSet(
         (name, xavier_init(shape, rng) if len(shape) == 2 else np.zeros(shape))
         for name, shape in shapes.items()
@@ -165,9 +170,7 @@ def compute_gradients(
     np.add.at(grad_item_out, pos, -coef[:, None] * x_u)
     np.add.at(grad_item_out, neg, coef[:, None] * x_u)
 
-    grads = backward_pass(
-        cfg, params, inputs, cache, grad_user_out, grad_item_out, graph is not None
-    )
+    grads = backward_pass(cfg, params, inputs, cache, grad_user_out, grad_item_out)
 
     # embedding penalty acts on the raw tables
     if train_cfg.l2_coeff > 0.0:

@@ -441,6 +441,20 @@ class TestTrain:
         assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
         assert "1000000000000000" in err
 
+    @pytest.mark.parametrize("key", ["embed_dim", "hidden_dim"])
+    def test_unindexable_parameter_shape_reports_error(self, workspace, tmp_path, capsys, key):
+        # 10**18 float64 columns are more bytes than numpy can index
+        cfg_path = workspace / f"huge_{key}.cfg"
+        cfg_path.write_text(
+            BASE_CONFIG.replace(f"{key} = 8", f"{key} = 1000000000000000000"),
+            encoding="utf-8",
+        )
+        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "huge")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: parameter ") and err.count("\n") == 1
+        assert "1000000000000000000" in err and "too big for a float64 array" in err
+
 
 class TestEvaluate:
     def test_writes_report_for_each_partition(self, workspace, trained, capsys):

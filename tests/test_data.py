@@ -2,6 +2,7 @@
 
 import os
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from lattice.data import (
     write_features,
 )
 from lattice.errors import DataFormatError
-from lattice.synthetic import write_clustered_dataset
+from lattice.synthetic import clustered_dataset, write_clustered_dataset
 
 
 def write_tsv(path, rows):
@@ -647,3 +648,19 @@ class TestWritersAreAtomic:
             write_clustered_dataset(tmp_path, seed=1, **kwargs)
         assert [p.read_bytes() for p in paths] == before
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
+
+
+class TestClusteredCentroids:
+    def test_more_clusters_than_sign_vectors_rejected_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="num_clusters=3 .* feat_dim=1"):
+            clustered_dataset(num_clusters=3, feat_dim=1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_unlucky_centroid_draws_give_up(self):
+        # feasible, but a draw of 40 centroids 5 coordinates apart in 16
+        # dimensions practically never comes up
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="num_clusters=40 .* feat_dim=16"):
+            clustered_dataset(num_clusters=40)
+        assert time.perf_counter() - start < 20.0

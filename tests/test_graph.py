@@ -257,7 +257,7 @@ class TestCosine:
 class TestTopK:
     def mk(self, rows, k):
         arr = np.asarray(rows, dtype=np.float64)
-        return topk_sparsify([arr], k, arr.shape[0])
+        return topk_sparsify([arr], k)
 
     def test_keeps_largest_entries(self):
         g = self.mk([[0.9, 0.5, 0.7, 0.1]] * 4, 2)
@@ -286,14 +286,14 @@ class TestTopK:
         for _ in range(10):
             sim = np.maximum(rng.standard_normal((12, 12)), 0.0)
             k = int(rng.integers(1, 6))
-            got = topk_sparsify([sim], k, 12).csr.toarray()
+            got = topk_sparsify([sim], k).csr.toarray()
             np.testing.assert_allclose(got, dense_topk(sim, k), atol=0)
 
     def test_support_invariant_under_monotone_value_transform(self, rng):
         sim = np.maximum(rng.standard_normal((10, 10)), 0.0)
         squashed = np.sqrt(sim)  # strictly monotone on [0, inf)
-        a = topk_sparsify([sim], 3, 10)
-        b = topk_sparsify([squashed], 3, 10)
+        a = topk_sparsify([sim], 3)
+        b = topk_sparsify([squashed], 3)
         assert a.indices.tolist() == b.indices.tolist()
         assert a.indptr.tolist() == b.indptr.tolist()
         np.testing.assert_allclose(np.sqrt(a.values), b.values, atol=1e-12)
@@ -304,7 +304,7 @@ class TestTopK:
         sim = rng.uniform(0.1, 0.5, (45, 45))
         sim[:, 33] = 0.9
         sim[:, 40] = 0.8
-        got = topk_sparsify([sim], 2, 45)
+        got = topk_sparsify([sim], 2)
         assert np.all(got.indices.reshape(45, 2) == [33, 40])
         np.testing.assert_array_equal(got.csr.toarray(), dense_topk(sim, 2))
 
@@ -316,9 +316,18 @@ class TestTopK:
         # column in the other
         sim = np.full((32, 32), 0.1)
         sim[:, list(tied)] = 0.5
-        got = topk_sparsify([sim], 1, 32)
+        got = topk_sparsify([sim], 1)
         assert got.indices.tolist() == [tied[0]] * 32
         np.testing.assert_array_equal(got.csr.toarray(), dense_topk(sim, 1))
+
+    @pytest.mark.parametrize("k", [1, 5, 40])  # g = 4: k <= g and k > g
+    def test_wide_ties_keep_smallest_columns(self, k):
+        # three levels tie many candidates at each row's k-th value; on rows
+        # this long an unstable sort reorders them (numpy's does at k = 40)
+        cols = np.arange(64)
+        sim = 0.1 * (1 + (7 * cols[None, :] + cols[:, None]) % 3)
+        got = topk_sparsify([sim], k)
+        np.testing.assert_array_equal(got.csr.toarray(), dense_topk(sim, k))
 
     @pytest.mark.parametrize("k", [2, 5])  # g = 3: k <= g and k > g
     def test_rows_with_fewer_than_k_positive_entries(self, rng, k):
@@ -326,7 +335,7 @@ class TestTopK:
         sim[::2] = rng.uniform(0.1, 1.0, (24, 48))  # even rows all positive
         sim[1::2, 7] = 0.3  # odd rows: one positive entry
         sim[3, 40] = 0.2  # and row 3 a second one
-        got = topk_sparsify([sim], k, 48)
+        got = topk_sparsify([sim], k)
         counts = got.row_counts()
         assert np.all(counts[::2] == k)
         assert counts[1] == 1 and counts[3] == 2
@@ -342,9 +351,21 @@ class TestTopK:
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="more similarity rows than nodes"):
-            topk_sparsify([np.ones((2, 3)), np.ones((2, 3))], 1, 3)
+            topk_sparsify([np.ones((2, 3)), np.ones((2, 3))], 1)
         with pytest.raises(ValueError, match="expected 3 similarity rows, got 2"):
-            topk_sparsify([np.ones((2, 3))], 1, 3)
+            topk_sparsify([np.ones((2, 3))], 1)
+
+    def test_node_count_is_block_width(self):
+        # a 3 x 2 block is no row block of a square matrix
+        with pytest.raises(ValueError, match="more similarity rows than nodes"):
+            topk_sparsify([np.ones((3, 2))], 1)
+        with pytest.raises(ValueError, match="block width 4 is not 3"):
+            topk_sparsify([np.ones((1, 3)), np.ones((2, 4))], 1)
+
+    def test_no_blocks_give_empty_graph(self):
+        g = topk_sparsify([], 2)
+        assert g.num_nodes == 0 and g.nnz == 0
+        assert g.indptr.tolist() == [0]
 
 
 def stable_topk_reference(sim, k):
@@ -385,7 +406,7 @@ def test_topk_matches_stable_argsort_reference(case, data):
         mock.patch.object(graph, "_BLOCK_BYTES", 0),
         mock.patch.object(graph, "_MIN_BLOCK_ROWS", rows),
     ):
-        got = topk_sparsify(iter_cosine_rows(feats), k, n)
+        got = topk_sparsify(iter_cosine_rows(feats), k)
         blocks = copied_blocks(feats)
     assert [b.shape[0] for b in blocks] == [min(rows, n - s) for s in range(0, n, rows)]
     indptr, indices, values = stable_topk_reference(np.vstack(blocks), k)
@@ -420,7 +441,7 @@ class TestDefaultBlocks:
     def test_graph_matches_topk_of_copied_blocks(self):
         feats = self.features()
         got = knn_cosine_graph(feats, self.k)
-        want = topk_sparsify(copied_blocks(feats), self.k, self.n)
+        want = topk_sparsify(copied_blocks(feats), self.k)
         assert got.indptr.tobytes() == want.indptr.tobytes()
         assert got.indices.tobytes() == want.indices.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
@@ -473,7 +494,7 @@ class TestFlooredBlocks:
         feats = self.features()
         got = knn_cosine_graph(feats, self.k)
         want = topk_sparsify(
-            (block.copy() for block in iter_cosine_rows(feats)), self.k, self.n
+            (block.copy() for block in iter_cosine_rows(feats)), self.k
         )
         assert got.indptr.tobytes() == want.indptr.tobytes()
         assert got.indices.tobytes() == want.indices.tobytes()

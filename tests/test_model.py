@@ -341,21 +341,20 @@ class TestBackwardPass:
     def test_matches_finite_differences_of_dense_upstream(self, backend, variant, frozen):
         # every user and item row carries upstream gradient, so rows that no
         # batch of triples touches are checked too; a frozen graph is held
-        # constant on both sides
+        # constant on both sides, and the cache is the frozen forward's, as
+        # compute_gradients takes it
         cfg, inputs, params, _ = tiny_instance(variant, backend)
-        out, cache = forward_pass(cfg, params, inputs)
+        graph = forward_pass(cfg, params, inputs)[1].graph if frozen else None
+        out, cache = forward_pass(cfg, params, inputs, graph)
         rng = np.random.default_rng(11)
         up_users = rng.standard_normal(out.user_vecs.shape)
         up_items = rng.standard_normal(out.enhanced_items.shape)
-        graph = cache.graph if frozen else None
 
         def objective():
             o, _ = forward_pass(cfg, params, inputs, graph)
             return np.sum(up_users * o.user_vecs) + np.sum(up_items * o.enhanced_items)
 
-        grads = backward_pass(
-            cfg, params, inputs, cache, up_users.copy(), up_items.copy(), frozen
-        )
+        grads = backward_pass(cfg, params, inputs, cache, up_users.copy(), up_items.copy())
         assert set(grads) <= set(params)
         worst, where = gradient_agreement(grads, central_differences(objective, params), params)
         assert worst <= 1e-4, f"gradient mismatch at {where}: rel err {worst:.3e}"
