@@ -24,10 +24,11 @@ from .data import (
     split_cold,
     split_warm,
     write_atomic,
+    write_graph_dump,
 )
 from .errors import CheckpointError, ConfigError, LatticeError
-from .evaluation import evaluate
-from .graph import build_initial_graph, write_graph_dump
+from .evaluation import PARTITIONS, evaluate
+from .graph import build_initial_graph
 from .model import load_checkpoint, parameter_shapes, save_checkpoint
 from .training import fit
 
@@ -35,8 +36,8 @@ CHECKPOINT_NAME = "checkpoint.bin"
 TRAIN_LOG_NAME = "train_log.jsonl"
 MANIFEST_NAME = "split_manifest.json"
 
-SWEEP_AXES = ("k", "lambda")
 _AXIS_KEYS = {"k": "k", "lambda": "fuse_lambda"}
+SWEEP_AXES = tuple(_AXIS_KEYS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a checkpoint on held-out data")
     common(p)
     p.add_argument("--checkpoint", default=None, help="checkpoint path (default: out_dir/checkpoint.bin)")
-    p.add_argument("--partition", choices=("valid", "test"), default="test")
+    p.add_argument("--partition", choices=PARTITIONS, default="test")
 
     p = sub.add_parser(
         "sweep",
@@ -93,6 +94,10 @@ def _load_split(cfg: RunConfig) -> tuple[Split, dict]:
     else:
         split = split_cold(dataset, cfg["item_fraction"], cfg["split_seed"])
     return split, features
+
+
+def _report_path(cfg: RunConfig, partition: str) -> Path:
+    return cfg.out_dir / f"report_{partition}.json"
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -184,7 +189,7 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_arg: str | None, partition: str) -> 
     )
     payload = report.as_dict()
     payload["config_digest"] = cfg.digest()
-    _write_json(cfg.out_dir / f"report_{partition}.json", payload)
+    _write_json(_report_path(cfg, partition), payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -221,7 +226,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, values_raw: str) -> int:
         point.out_dir.mkdir(parents=True, exist_ok=True)
         cmd_train(point, None)
         cmd_evaluate(point, None, "test")
-        payloads.append(json.loads((point.out_dir / "report_test.json").read_text("utf-8")))
+        payloads.append(json.loads(_report_path(point, "test").read_text("utf-8")))
 
     cutoffs = cfg["cutoffs"]
     table_path = cfg.out_dir / f"sweep_{axis}.tsv"

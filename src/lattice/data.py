@@ -5,17 +5,19 @@ External formats:
     load_interactions for line endings, blank lines and the byte-order mark)
   * features: binary container, magic "LATF", little-endian u32 version,
     u64 rows, u64 cols, then float32 row-major payload
+  * graph dump: "src<TAB>dst<TAB>weight" edge TSV plus a JSON parameter sidecar
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -334,6 +336,22 @@ def write_atomic(path, chunks: Iterable[bytes]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_graph_dump(graph: SparseGraph, base_path, meta: Mapping[str, object]) -> tuple[str, str]:
+    """Write edges as src/dst/weight TSV plus a JSON sidecar of parameters.
+
+    base_path gets .tsv and .json suffixes appended; paths are returned.
+    Each file is replaced atomically, and the sidecar is encoded before
+    either is written.
+    """
+    tsv_path, json_path = f"{base_path}.tsv", f"{base_path}.json"
+    sidecar = (json.dumps(dict(meta), indent=2, sort_keys=True) + "\n").encode("utf-8")
+    edges = zip(graph.edge_rows(), graph.indices, graph.values)
+    lines = (f"{r}\t{c}\t{float(v)!r}\n".encode("utf-8") for r, c, v in edges)
+    write_atomic(tsv_path, itertools.chain([b"src\tdst\tweight\n"], lines))
+    write_atomic(json_path, [sidecar])
+    return tsv_path, json_path
 
 
 def write_features(path, matrix: np.ndarray) -> None:

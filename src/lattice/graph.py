@@ -31,10 +31,8 @@ constructor and its canonical-format scan do most of the work.
 
 from __future__ import annotations
 
-import itertools
-import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -233,8 +231,8 @@ def topk_sparsify(sim_blocks: Iterable[np.ndarray], k: int) -> SparseGraph:
     return SparseGraph(num_nodes, np.cumsum(counts), cols, vals)
 
 
-# Columns per group of the top-k bound.  The group maxima cost one pass over
-# the block; with fewer than k groups every positive entry is a candidate.
+# Columns per group of the top-k bound.  Every block runs the gate; with
+# fewer than k groups the bound is 0, so every positive entry is a candidate.
 _GROUP_SPAN = 16
 
 # The smallest positive float: candidates must be >= it, so zero and
@@ -245,35 +243,35 @@ _TINY = np.nextafter(0.0, 1.0)
 def _block_topk(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A block's top-k as (kept entries per row, columns, values), row-major.
 
-    Columns split into g = n // 16 strided groups (group j holds columns j,
-    j + g, ..., j + 15g) and a tail of the last n - 16g columns.  k distinct
-    groups reach the k-th largest group maximum, so it bounds each row's
-    k-th largest value from below; floored at the smallest positive float it
-    becomes the candidate threshold.  An entry at or above it lies in the
-    tail or in a group whose maximum reaches it, so only those are gathered.
-    Every kept entry is a candidate.  A stable sort cuts each row's
-    candidates to the k largest, boundary ties to the smallest columns.
-    The returned arrays are copies, never views of the block.
+    A row holds at most n entries, so k is cut to n first.  Columns split
+    into g = n // 16 strided groups (group j holds columns j, j + g, ...,
+    j + 15g) and a tail of the last n - 16g columns.  k distinct groups reach
+    the k-th largest group maximum, so it bounds each row's k-th largest
+    value from below; with fewer than k groups the bound is 0.  Floored at
+    the smallest positive float it becomes the candidate threshold, which
+    every block gates on: an entry at or above it lies in the tail or in a
+    group whose maximum reaches it, so only those are gathered.  Every kept
+    entry is a candidate.  A stable sort cuts each row's candidates to the k
+    largest, boundary ties to the smallest columns.  The returned arrays are
+    copies, never views of the block.
     """
     r, n = block.shape
-    if k == 0 or r == 0 or n == 0:
+    k = min(k, n)
+    if k == 0 or r == 0:
         empty_cols = np.empty(0, dtype=np.int64)
         return np.zeros(r, dtype=np.int64), empty_cols, np.empty(0, dtype=block.dtype)
     g = n // _GROUP_SPAN
-    if g >= k:
-        span = _GROUP_SPAN * g
-        group_max = block[:, :span].reshape(r, _GROUP_SPAN, g).max(axis=1)
-        bound = np.partition(group_max, g - k, axis=1)[:, g - k]
-        thr = np.maximum(bound, _TINY)[:, None]
-        # flat indices of the gated groups' columns, then the tail's hits
-        rows, groups = np.nonzero(group_max >= thr)
-        gated = (rows * n + groups)[:, None] + g * np.arange(_GROUP_SPAN)
-        hit = block.ravel()[gated] >= thr[rows]
-        tail_rows, tail_cols = np.nonzero(block[:, span:] >= thr)
-        flat = np.concatenate([gated[hit], tail_rows * n + (span + tail_cols)])
-        flat.sort()
-    else:
-        flat = np.flatnonzero(block >= _TINY)
+    span = _GROUP_SPAN * g
+    group_max = block[:, :span].reshape(r, _GROUP_SPAN, g).max(axis=1)
+    bound = np.partition(group_max, g - k, axis=1)[:, g - k] if g >= k else np.zeros(r)
+    thr = np.maximum(bound, _TINY)[:, None]
+    # flat indices of the gated groups' columns, then the tail's hits
+    rows, groups = np.nonzero(group_max >= thr)
+    gated = (rows * n + groups)[:, None] + g * np.arange(_GROUP_SPAN)
+    hit = block.ravel()[gated] >= thr[rows]
+    tail_rows, tail_cols = np.nonzero(block[:, span:] >= thr)
+    flat = np.concatenate([gated[hit], tail_rows * n + (span + tail_cols)])
+    flat.sort()
     rows, cols = np.divmod(flat, n)
     vals = block.ravel()[flat]
     counts = np.bincount(rows, minlength=r)
@@ -330,14 +328,9 @@ def prune_zeros(graph: SparseGraph) -> SparseGraph:
     """Drop stored entries whose weight is exactly zero."""
     if graph.nnz == 0 or graph.values.min() > 0.0:
         return graph
-    keep = graph.values > 0.0
-    counts = np.bincount(graph.edge_rows()[keep], minlength=graph.num_nodes)
-    return SparseGraph(
-        graph.num_nodes,
-        np.concatenate([[0], np.cumsum(counts)]),
-        graph.indices[keep],
-        graph.values[keep],
-    )
+    csr = graph.csr.copy()
+    csr.eliminate_zeros()
+    return SparseGraph(graph.num_nodes, csr.indptr, csr.indices, csr.data)
 
 
 def knn_cosine_graph(features: np.ndarray, k: int) -> SparseGraph:
@@ -412,25 +405,4 @@ def aggregate_modalities(graphs: Sequence[SparseGraph], logits: np.ndarray) -> S
     for w, g in zip(weights[1:], graphs[1:]):
         combined = combined + w * g.csr
     return SparseGraph(nodes, combined.indptr, combined.indices, combined.data)
-
-
-def write_graph_dump(
-    graph: SparseGraph, base_path, meta: Mapping[str, object]
-) -> tuple[str, str]:
-    """Write edges as src/dst/weight TSV plus a JSON sidecar of parameters.
-
-    base_path gets .tsv and .json suffixes appended; paths are returned.
-    Each file is replaced atomically, and the sidecar is encoded before
-    either is written.
-    """
-    from .data import write_atomic  # data imports this module
-
-    tsv_path = f"{base_path}.tsv"
-    json_path = f"{base_path}.json"
-    sidecar = (json.dumps(dict(meta), indent=2, sort_keys=True) + "\n").encode("utf-8")
-    edges = zip(graph.edge_rows(), graph.indices, graph.values)
-    lines = (f"{r}\t{c}\t{float(v)!r}\n".encode("utf-8") for r, c, v in edges)
-    write_atomic(tsv_path, itertools.chain([b"src\tdst\tweight\n"], lines))
-    write_atomic(json_path, [sidecar])
-    return tsv_path, json_path
 

@@ -456,20 +456,20 @@ def backward_pass(
         parts = np.split(grad_src @ params.projection, len(modalities), axis=1)
         grad_h_modal = {m: part.copy() for m, part in zip(modalities, parts)}
 
-    # graph-structure path: softmax mixture (the weights aggregate_modalities
-    # used) -> skip blend -> normalization -> cosine
+    # graph-structure path: mixed graph -> retained edges -> normalization ->
+    # cosine; a retained edge enters the mix times its softmax weight (the one
+    # aggregate_modalities used) and the skip blend's 1 - lambda
     if cfg.uses_item_graph and not frozen:
         alpha = softmax(params.logits)
         grad_alpha = np.zeros(alpha.size)
         for idx, m in enumerate(modalities):
             fused = cache.fused[m]
-            g_on_fused = values_at(graph, grad_vals, fused)
-            grad_alpha[idx] = float(np.dot(g_on_fused, fused.values))
+            grad_alpha[idx] = float(np.dot(values_at(graph, grad_vals, fused), fused.values))
             retained, features = cache.learned.get(m, (None, None))
             if retained is None or retained.nnz == 0:
                 continue
-            g_fused = alpha[idx] * g_on_fused
-            g_learned = (1.0 - cfg.fuse_lambda) * values_at(fused, g_fused, retained)
+            g_mixed = values_at(graph, grad_vals, retained)
+            g_learned = (1.0 - cfg.fuse_lambda) * (alpha[idx] * g_mixed)
             g_retained = normalize_sym_backward(g_learned, retained)
             grad_h = knn_cosine_backward(g_retained, retained, features)
             prior = grad_h_modal.get(m)

@@ -47,6 +47,10 @@ def clustered_dataset(
     positive walks the cluster round-robin so that every item appears in the
     interactions whenever a cluster has at least as many users as items.
     """
+    for name, count in [("num_clusters", num_clusters), ("items_per_cluster", items_per_cluster),
+                        ("positives_per_user", positives_per_user)]:
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     if positives_per_user > items_per_cluster:
         raise ValueError("positives_per_user cannot exceed items_per_cluster")
     if num_clusters > 2**feat_dim:

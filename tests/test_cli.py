@@ -322,6 +322,17 @@ class TestPrepare:
         header = tsv.read_text().splitlines()[0]
         assert header.split("\t") == ["src", "dst", "weight"]
 
+    def test_dump_graphs_with_k_past_int64_cuts_at_item_count(self, workspace, tmp_path):
+        # a row holds at most 20 entries, so k = 2**63 keeps what k = 20 does
+        dumps = {}
+        for k in (2**63, 20):
+            cfg_path = workspace / f"k_{k}.cfg"
+            cfg_path.write_text(BASE_CONFIG.replace("k = 3", f"k = {k}"), encoding="utf-8")
+            out = tmp_path / str(k)
+            assert main(["prepare", "--config", str(cfg_path), "--out", str(out), "--dump-graphs"]) == 0
+            dumps[k] = (out / "graph_content.tsv").read_bytes()
+        assert dumps[2**63] == dumps[20]
+
 
 class TestTrain:
     def test_outputs_and_log_schema(self, workspace, trained):

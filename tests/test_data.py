@@ -664,3 +664,16 @@ class TestClusteredCentroids:
         with pytest.raises(ValueError, match="num_clusters=40 .* feat_dim=16"):
             clustered_dataset(num_clusters=40)
         assert time.perf_counter() - start < 20.0
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"num_clusters": 0}, "num_clusters"),
+            ({"items_per_cluster": 0, "positives_per_user": 0}, "items_per_cluster"),
+            ({"positives_per_user": 0}, "positives_per_user"),
+        ],
+        ids=["num_clusters", "items_per_cluster", "positives_per_user"],
+    )
+    def test_zero_counts_rejected_by_name(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got 0$"):
+            clustered_dataset(**kwargs)

@@ -1,5 +1,6 @@
 """Graph construction against a dense brute-force oracle plus edge cases."""
 
+import ast
 import os
 from pathlib import Path
 from unittest import mock
@@ -7,12 +8,12 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lattice import graph
-from lattice.data import ModalityFeatures, make_dataset
+from lattice.data import ModalityFeatures, make_dataset, write_graph_dump
 from lattice.graph import (
     SparseGraph,
     aggregate_modalities,
@@ -27,7 +28,6 @@ from lattice.graph import (
     topk_sparsify,
     transform_features,
     values_at,
-    write_graph_dump,
 )
 from lattice.model import ModelConfig, build_inputs, build_item_graph
 from lattice.training import init_parameters
@@ -367,6 +367,14 @@ class TestTopK:
         assert g.num_nodes == 0 and g.nnz == 0
         assert g.indptr.tolist() == [0]
 
+    @pytest.mark.parametrize("n", [1, 15, 40])  # g = 0, 0 and 2
+    def test_k_past_int64_equals_k_of_node_count(self, rng, n):
+        feats = rng.standard_normal((n, 3))
+        got = knn_cosine_graph(feats, 2**63)
+        want = knn_cosine_graph(feats, n)
+        for a, b in [(got.indptr, want.indptr), (got.indices, want.indices), (got.values, want.values)]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
 
 def stable_topk_reference(sim, k):
     """CSR arrays of each row's stable-argsort top k, zeros dropped, columns sorted."""
@@ -382,7 +390,10 @@ def stable_topk_reference(sim, k):
 
 @st.composite
 def topk_cases(draw):
-    """Features and k at sizes where the group bound runs (n >= 16 k for small k)."""
+    """Features, k and block rows at sizes of g >= 1 groups (the examples below g = 0).
+
+    Block rows cover every layout, from one row per block to one block.
+    """
     n = draw(st.integers(16, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     feats = rng.standard_normal((n, draw(st.integers(1, 6))))
@@ -390,17 +401,29 @@ def topk_cases(draw):
         feats = np.round(feats)  # quantized: heavy ties at the boundary
     feats[rng.random(n) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
     g = n // 16
-    return feats, draw(st.sampled_from([0, 1, g, g + 1, n - 1, n, n + 3]))
+    k = draw(st.sampled_from([0, 1, g, g + 1, n - 1, n, n + 3]))
+    return feats, k, draw(st.integers(1, n + 1))
+
+
+def small_catalogue(n, seed):
+    """Rounded features of n < 16 items, so g = 0: ties, a zero row, opposite rows."""
+    feats = np.round(np.random.default_rng(seed).standard_normal((n, 2)))
+    feats[0] = 0.0
+    return feats
 
 
 @settings(max_examples=150, deadline=None)
-@given(topk_cases(), st.data())
-def test_topk_matches_stable_argsort_reference(case, data):
-    # every block layout, from one row per block to one block; few feature
-    # dims leave rows with fewer than k positive similarities
-    feats, k = case
+@given(topk_cases())
+@example((np.array([[1.0, -2.0]]), 1, 1))
+@example((small_catalogue(15, 0), 1, 4))
+@example((small_catalogue(15, 1), 3, 15))
+@example((small_catalogue(15, 2), 14, 16))
+@example((small_catalogue(15, 3), 18, 7))
+@example((small_catalogue(15, 4), 2**63, 15))
+def test_topk_matches_stable_argsort_reference(case):
+    # few feature dims leave rows with fewer than k positive similarities
+    feats, k, rows = case
     n = feats.shape[0]
-    rows = data.draw(st.integers(1, n + 1), label="block rows")
     # the floor alone sets the rows once the byte budget is zero
     with (
         mock.patch.object(graph, "_BLOCK_BYTES", 0),
@@ -793,6 +816,18 @@ def test_learned_graph_build_checks_every_graph(rng, monkeypatch):
     assert len(checked) == 4
     assert all(g.nnz > 0 for g in checked)
     assert mixed in checked
+
+
+def test_graph_module_imports_no_package_module():
+    # the pipeline sits below every other module, so none of them is imported
+    tree = ast.parse(Path(graph.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported and not [m for m in imported if m.startswith((".", "lattice"))]
 
 
 class TestGraphDump:
